@@ -24,6 +24,10 @@ import (
 // ranges from multiple goroutines.
 type BatchResult struct {
 	n int
+	// dirty is the most rows prepareBatch sized br for since the last
+	// release: the prefix of resolved, copies and errs that may still pin
+	// configurations and errors.
+	dirty int
 	// resolved[i] is the validated (possibly prefetcher-overridden)
 	// configuration evaluated into row i, nil where errs[i] is set.
 	resolved []*Config
@@ -106,11 +110,11 @@ func (br *BatchResult) apiResult(i int, withMicroCPI bool) *api.Result {
 // release drops the references a reused BatchResult pins — configurations,
 // errors, name strings — keeping the numeric columns' capacity.
 func (br *BatchResult) release() {
-	clear(br.resolved[:cap(br.resolved)])
-	clear(br.copies[:cap(br.copies)])
-	clear(br.errs[:cap(br.errs)])
+	clear(br.resolved[:br.dirty])
+	clear(br.copies[:min(br.dirty, cap(br.copies))])
+	clear(br.errs[:br.dirty])
 	br.core.Release()
-	br.n = 0
+	br.n, br.dirty = 0, 0
 }
 
 // batchResultPool recycles the batch blocks behind the compatibility paths
@@ -137,6 +141,7 @@ func putBatchResult(br *BatchResult) {
 func (pd *Predictor) prepareBatch(br *BatchResult, n int) {
 	pd.compiled.PrepareBatch(&br.core, n)
 	br.n = n
+	br.dirty = max(br.dirty, n)
 	br.resolved = growSlice(br.resolved, n)
 	br.errs = growSlice(br.errs, n)
 	br.power = growSlice(br.power, n)

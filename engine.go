@@ -655,55 +655,95 @@ func (e *Engine) Predict(ctx context.Context, req *api.PredictRequest) (*api.Pre
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
+	resp := &api.PredictResponse{SchemaVersion: api.SchemaVersion}
+	err = e.serve(ctx, []string{req.Workload}, []*Predictor{pd}, nil, req.Options, []*Config{cfg}, 1, req.MicroCPI,
+		func(_ int, res *api.Result, err error) error {
+			if err != nil {
+				return fmt.Errorf("%w: %v", ErrBadRequest, err)
+			}
+			resp.Result = res
+			return nil
+		})
+	if err != nil {
 		return nil, err
 	}
-	res, err := pd.Predict(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	e.offerFidelity(req.Workload, req.Options, cfg)
-	return &api.PredictResponse{
-		SchemaVersion: api.SchemaVersion,
-		Result:        apiResult(res, req.MicroCPI),
-	}, nil
+	return resp, nil
 }
 
-// sweepOne fans one workload out over configs on the shared pool in
-// contiguous batches — each pool task runs the compiled batch kernel over
-// its chunk — reporting per-config failures instead of aborting the batch.
+// serve is the one evaluation loop under every Engine surface. It runs the
+// workloads × configs cross product through sweepInto on one pool — pds[w]
+// serves workloads[w], and a nil pds[w] fails its workload's items with
+// pdErrs[w], the only pdErrs element read — and times the fan-out into
+// mipp_engine_evaluate_seconds. It then offers every evaluated item to the
+// fidelity sampler and hands each item to emit in row-major input order:
+// its index w*len(configs)+c, its result DTO (nil on failure) and its item
+// error. A cancelled ctx returns ctx.Err() before any item is emitted; an
+// emit error stops the loop and is returned.
+func (e *Engine) serve(ctx context.Context, workloads []string, pds []*Predictor, pdErrs []error,
+	spec api.PredictorSpec, configs []*Config, workers int, microCPI bool,
+	emit func(i int, res *api.Result, err error) error) error {
+	if workers <= 0 {
+		workers = e.workers
+	}
+	brs := make([]*BatchResult, len(pds))
+	for w := range brs {
+		brs[w] = getBatchResult()
+	}
+	defer func() {
+		for _, br := range brs {
+			putBatchResult(br)
+		}
+	}()
+	t := obs.StartTimer()
+	sweepInto(ctx, pds, configs, workers, brs)
+	t.ObserveInto(e.metrics.evaluateSeconds)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	for w, br := range brs {
+		for ci, cfg := range configs {
+			var res *api.Result
+			var itemErr error
+			switch {
+			case pds[w] == nil:
+				itemErr = pdErrs[w]
+			case br.Err(ci) != nil:
+				itemErr = br.Err(ci)
+			case br.Ok(ci):
+				res = br.apiResult(ci, microCPI)
+				e.offerFidelity(workloads[w], spec, cfg)
+			}
+			if err := emit(w*len(configs)+ci, res, itemErr); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// sweepOne serves one workload over configs: results in input order (nil
+// where a configuration failed) and the failures as item errors.
 func (e *Engine) sweepOne(ctx context.Context, workload string, configs []*Config, spec api.PredictorSpec, workers int) ([]*api.Result, []api.ItemError, error) {
 	pd, err := e.predictor(ctx, workload, spec)
 	if err != nil {
 		return nil, nil, err
 	}
-	if workers <= 0 {
-		workers = e.workers
-	}
-	br := getBatchResult()
-	defer putBatchResult(br)
-	t := obs.StartTimer()
-	sweepInto(ctx, pd, configs, workers, br)
-	t.ObserveInto(e.metrics.evaluateSeconds)
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
 	results := make([]*api.Result, len(configs))
-	for i := range configs {
-		if br.Ok(i) {
-			results[i] = br.apiResult(i, false)
-			e.offerFidelity(workload, spec, configs[i])
-		}
-	}
 	var itemErrs []api.ItemError
-	for i := range configs {
-		if err := br.Err(i); err != nil {
-			name := ""
-			if configs[i] != nil {
-				name = configs[i].Name
+	err = e.serve(ctx, []string{workload}, []*Predictor{pd}, nil, spec, configs, workers, false,
+		func(i int, res *api.Result, err error) error {
+			results[i] = res
+			if err != nil {
+				name := ""
+				if configs[i] != nil {
+					name = configs[i].Name
+				}
+				itemErrs = append(itemErrs, api.ItemError{Index: i, Config: name, Error: err.Error()})
 			}
-			itemErrs = append(itemErrs, api.ItemError{Index: i, Config: name, Error: err.Error()})
-		}
+			return nil
+		})
+	if err != nil {
+		return nil, nil, err
 	}
 	return results, itemErrs, nil
 }
@@ -763,45 +803,21 @@ func (e *Engine) Evaluate(ctx context.Context, req *api.BatchRequest) (*api.Batc
 		return nil, err
 	}
 
-	// One span per (workload, config-chunk): the cross product in
-	// row-major order, chunked so every span amortizes one batch kernel.
-	chunk := batchChunk(len(req.Workloads)*len(configs), workers)
-	type span struct{ wi, lo, hi int }
-	var spans []span
-	for wi := range req.Workloads {
-		for lo := 0; lo < len(configs); lo += chunk {
-			spans = append(spans, span{wi, lo, min(lo+chunk, len(configs))})
-		}
-	}
 	items := make([]api.BatchItem, len(req.Workloads)*len(configs))
-	runPool(ctx, len(spans), workers, func(si int) {
-		sp := spans[si]
-		var br *BatchResult
-		if pdErrs[sp.wi] == nil {
-			br = getBatchResult()
-			defer putBatchResult(br)
-			t := obs.StartTimer()
-			_ = pds[sp.wi].PredictBatchInto(ctx, configs[sp.lo:sp.hi], br)
-			t.ObserveInto(e.metrics.evaluateSeconds)
-		}
-		for ci := sp.lo; ci < sp.hi; ci++ {
-			item := &items[sp.wi*len(configs)+ci]
-			item.Workload = req.Workloads[sp.wi]
-			if configs[ci] != nil {
-				item.Config = configs[ci].Name
+	err = e.serve(ctx, req.Workloads, pds, pdErrs, req.Options, configs, workers, false,
+		func(i int, res *api.Result, err error) error {
+			item := &items[i]
+			item.Workload = req.Workloads[i/len(configs)]
+			if cfg := configs[i%len(configs)]; cfg != nil {
+				item.Config = cfg.Name
 			}
-			switch {
-			case pdErrs[sp.wi] != nil:
-				item.Error = pdErrs[sp.wi].Error()
-			case br.Err(ci-sp.lo) != nil:
-				item.Error = br.Err(ci - sp.lo).Error()
-			case br.Ok(ci - sp.lo):
-				item.Result = br.apiResult(ci-sp.lo, false)
-				e.offerFidelity(req.Workloads[sp.wi], req.Options, configs[ci])
+			item.Result = res
+			if err != nil {
+				item.Error = err.Error()
 			}
-		}
-	})
-	if err := ctx.Err(); err != nil {
+			return nil
+		})
+	if err != nil {
 		return nil, err
 	}
 	return &api.BatchResponse{SchemaVersion: api.SchemaVersion, Items: items}, nil

@@ -173,6 +173,36 @@ func TestFidelityPredictOffers(t *testing.T) {
 	}
 }
 
+// TestFidelitySweepStreamOffers: the streamed sweep feeds the sampler like
+// every other serving path.
+func TestFidelitySweepStreamOffers(t *testing.T) {
+	e := mipp.NewEngine(mipp.WithFidelitySampling(mipp.FidelityOptions{
+		SampleEvery: 1,
+		Budget:      8,
+		GroundTruth: fakeGroundTruth{},
+	}))
+	defer e.Close()
+	if err := e.Register("mcf", engineProfile(t, "mcf")); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	err := e.SweepStream(ctx, &api.SweepRequest{
+		SchemaVersion: api.SchemaVersion,
+		Workload:      "mcf",
+		Configs:       []api.ConfigSpec{{Name: "reference"}, {Name: "lowpower"}},
+	}, mipp.SweepSink{Item: func(api.SweepItem) error { return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := e.FidelityReport(ctx, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Samples != 2 {
+		t.Fatalf("Samples = %d after streaming 2 configs, want 2", rep.Samples)
+	}
+}
+
 // TestFidelitySearchEscalation: a finished search escalates its top-K
 // recommended configs past the sampling predicate (§7.4: validate what you
 // are about to recommend).

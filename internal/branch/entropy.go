@@ -45,9 +45,16 @@ func Entropy(s *trace.Stream, histBits uint) float64 {
 	if total == 0 {
 		return 0
 	}
-	// E = (1/Nb) Σ_b Σ_H n(b,H) · E(p(b,H))
+	// E = (1/Nb) Σ_b Σ_H n(b,H) · E(p(b,H)), summed in key order: float
+	// addition is not associative, so map order would change the result.
+	keys := make([]uint64, 0, len(counts))
+	for k := range counts {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	e := 0.0
-	for _, r := range counts {
+	for _, k := range keys {
+		r := counts[k]
 		n := float64(r.taken + r.notTaken)
 		p := float64(r.taken) / n
 		q := p

@@ -29,7 +29,7 @@ const CtxCheckStride = 64
 // holds.
 //
 // A BatchResult owns its memory: rows written by EvaluateRangeInto are
-// plain columns, and Result/CopyResult materialize independent copies, so
+// plain columns, and CopyResult materializes independent copies, so
 // callers that publish results (NDJSON streams, search updates) copy before
 // the buffers are reused. A BatchResult is not safe for concurrent writers
 // on overlapping row ranges; disjoint ranges (one per sweep worker) are
@@ -37,6 +37,9 @@ const CtxCheckStride = 64
 type BatchResult struct {
 	n       int
 	nmicros int
+	// dirty is the most rows any PrepareBatch sized br for since the last
+	// Release: the prefix of names that may still pin strings.
+	dirty int
 
 	// Header quantities constant across the batch (profile-level).
 	workload     string
@@ -76,6 +79,7 @@ func grow[T any](s []T, n int) []T {
 func (c *Compiled) PrepareBatch(br *BatchResult, n int) {
 	p := c.model.Profile
 	br.n = n
+	br.dirty = max(br.dirty, n)
 	br.nmicros = len(c.micros)
 	br.workload = p.Workload
 	br.uops = float64(p.TotalUops)
@@ -145,14 +149,6 @@ func (br *BatchResult) CopyResult(i int, res *Result) {
 	res.Limiter = br.limiter[i]
 }
 
-// Result materializes slot i as a standalone *Result, byte-identical to
-// what Compiled.Evaluate would have returned for the same configuration.
-func (br *BatchResult) Result(i int) *Result {
-	res := &Result{MicroCPI: make([]float64, 0, br.nmicros)}
-	br.CopyResult(i, res)
-	return res
-}
-
 // setRow scatters one evaluated result into slot i's columns.
 //
 //mipp:hotpath
@@ -175,10 +171,12 @@ func (br *BatchResult) setRow(i int, res *Result) {
 
 // Release drops the references a reused BatchResult pins (configuration
 // name strings) without freeing the numeric columns, so a pooled batch
-// keeps its capacity but no foreign memory.
+// keeps its capacity but no foreign memory. It clears only the rows written
+// since the last Release, so releasing a large pooled batch after a small
+// use costs the small use.
 func (br *BatchResult) Release() {
-	clear(br.names[:cap(br.names)])
-	br.n = 0
+	clear(br.names[:br.dirty])
+	br.n, br.dirty = 0, 0
 }
 
 // nonClockKey is the comparable projection of a configuration onto the
@@ -256,13 +254,14 @@ type memColKey struct {
 // free list — amortized O(1), never different results.
 const maxMemCacheEntries = 256
 
-// Batch is a single-goroutine evaluation kernel with persistent scratch
-// buffers and the DVFS fast-path state; use one per worker when fanning a
-// sweep out. When consecutive configurations share their nonClockKey and
-// port map, the kernel skips the geometry/miss-ratio/chain stages entirely
-// and re-runs only the frequency-dependent memory query and the final
-// combine — and caches the memory query per distinct clock, so a sweep
-// cycling through a DVFS axis does pure arithmetic per point.
+// Batch is the evaluation kernel: single-goroutine, with persistent scratch
+// buffers, lookup caches and the DVFS fast-path state. Every entry point
+// (Evaluate, EvaluateRangeInto) borrows one from its Compiled's pool for
+// the duration of a call. When consecutive configurations share their
+// nonClockKey and port map, the kernel skips the geometry/miss-ratio/chain
+// stages entirely and re-runs only the frequency-dependent memory query and
+// the final combine — and caches the memory query per distinct clock, so a
+// sweep cycling through a DVFS axis does pure arithmetic per point.
 type Batch struct {
 	c   *Compiled
 	scr scratch
@@ -290,7 +289,7 @@ type Batch struct {
 	// per-micro chain interpolations per ROB — without the tables' RWMutex
 	// and map hashing, which together dominate the mixed-axis hot loop.
 	// Values are bit-identical (they come from the same tables on a miss),
-	// so batched results stay byte-for-byte equal to Compiled.Evaluate.
+	// so a warm kernel returns byte-for-byte what a cold one would.
 	geomKeyCached geomKey
 	geomCached    *geomEntry
 	mrCache       map[geomKey][]float64 // 3 per micro: L1, L2, LLC miss ratio
@@ -311,18 +310,6 @@ type Batch struct {
 	res Result
 }
 
-// NewBatch returns a kernel for one goroutine's share of a sweep.
-func (c *Compiled) NewBatch() *Batch { return &Batch{c: c} }
-
-// Evaluate predicts one configuration on the kernel's scratch.
-//
-//mipp:hotpath
-func (b *Batch) Evaluate(cfg *config.Config) *Result {
-	res := &Result{MicroCPI: make([]float64, 0, len(b.c.micros))}
-	b.evaluateInto(cfg, res)
-	return res
-}
-
 // evaluateInto evaluates cfg into res, taking the DVFS fast path when cfg
 // differs from the previous configuration only in clock (and name).
 //
@@ -338,10 +325,11 @@ func (b *Batch) evaluateInto(cfg *config.Config, res *Result) {
 	b.c.finish(cfg, b.ge, b.missRate, b.scr.invs, b.memsFor(cfg), res)
 }
 
-// invariants is the batch kernel's clock-invariant stage: the same math as
-// Compiled.invariants, with the memoized inputs served from the kernel's
-// local caches (geometry entry, miss-ratio triples, chain interpolations)
-// instead of the shared locked tables.
+// invariants is the kernel's clock-invariant stage: the geometry entry,
+// the branch miss rate, and one microInv per micro-trace in b.scr.invs.
+// The memoized inputs come from the kernel's local caches (geometry entry,
+// miss-ratio triples, chain interpolations), which fall back to the shared
+// locked tables on a miss.
 //
 //mipp:hotpath
 func (b *Batch) invariants(cfg *config.Config) (*geomEntry, float64) {
@@ -673,32 +661,6 @@ func (c *Compiled) EvaluateRangeInto(ctx context.Context, cfgs []*config.Config,
 		b.evaluateInto(cfg, &b.res)
 		br.setRow(off+k, &b.res)
 	}
-	c.batches.Put(b)
+	c.putBatch(b)
 	return err
-}
-
-// EvaluateBatchInto is the allocation-free batched entry point: it sizes br
-// for cfgs (reusing its buffers) and evaluates every configuration in input
-// order on one pooled kernel. Results land at their input index; see
-// EvaluateRangeInto for nil-config, cancellation and aliasing semantics.
-func (c *Compiled) EvaluateBatchInto(ctx context.Context, cfgs []*config.Config, br *BatchResult) error {
-	c.PrepareBatch(br, len(cfgs))
-	return c.EvaluateRangeInto(ctx, cfgs, br, 0)
-}
-
-// EvaluateBatch evaluates every configuration in input order, returning one
-// freshly materialized *Result per slot. It is a thin adapter over
-// EvaluateBatchInto kept for compatibility; batched callers that care about
-// allocation should hold a BatchResult instead. On cancellation the slots
-// evaluated so far are returned alongside ctx.Err(); the rest are nil.
-func (c *Compiled) EvaluateBatch(ctx context.Context, cfgs []*config.Config) ([]*Result, error) {
-	out := make([]*Result, len(cfgs))
-	var br BatchResult
-	err := c.EvaluateBatchInto(ctx, cfgs, &br)
-	for i := range out {
-		if br.valid[i] {
-			out[i] = br.Result(i)
-		}
-	}
-	return out, err
 }

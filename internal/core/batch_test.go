@@ -10,12 +10,47 @@ import (
 	"mipp/internal/mlp"
 )
 
+// coldEvaluate evaluates cfg on a fresh kernel — empty lookup caches and no
+// DVFS key — so it shares no warm state with the kernel under test.
+func coldEvaluate(c *Compiled, cfg *config.Config) *Result {
+	return evaluateOn(&Batch{c: c}, cfg)
+}
+
+// evaluateOn evaluates cfg on kernel b into a fresh Result.
+func evaluateOn(b *Batch, cfg *config.Config) *Result {
+	res := &Result{MicroCPI: make([]float64, 0, len(b.c.micros))}
+	b.evaluateInto(cfg, res)
+	return res
+}
+
+// rowResult materializes slot i of br as a standalone *Result.
+func rowResult(br *BatchResult, i int) *Result {
+	res := &Result{}
+	br.CopyResult(i, res)
+	return res
+}
+
+// evaluateBatch runs cfgs through the batched entry point and materializes
+// one *Result per evaluated slot (nil elsewhere).
+func evaluateBatch(ctx context.Context, c *Compiled, cfgs []*config.Config) ([]*Result, error) {
+	var br BatchResult
+	c.PrepareBatch(&br, len(cfgs))
+	err := c.EvaluateRangeInto(ctx, cfgs, &br, 0)
+	out := make([]*Result, len(cfgs))
+	for i := range out {
+		if br.Valid(i) {
+			out[i] = rowResult(&br, i)
+		}
+	}
+	return out, err
+}
+
 // TestEvaluateBatchIntoGolden is the byte-identity guarantee of the
 // struct-of-arrays kernel: over the full 243-point reference design space
-// and the option variants, EvaluateBatchInto, EvaluateBatch and N
-// one-at-a-time Evaluate calls marshal to exactly the same JSON. The
-// BatchResult is reused across option variants (distinct compiled kernels),
-// exercising the grown-once-reused-forever buffer contract.
+// and the option variants, the batched rows, the pooled single-config
+// Evaluate and a cold kernel per configuration marshal to exactly the same
+// JSON. The BatchResult is reused across option variants (distinct compiled
+// kernels), exercising the grown-once-reused-forever buffer contract.
 func TestEvaluateBatchIntoGolden(t *testing.T) {
 	m := modelFor(t, "mcf", 60_000)
 	configs := config.DesignSpace()
@@ -30,35 +65,32 @@ func TestEvaluateBatchIntoGolden(t *testing.T) {
 		{MLPMode: mlp.StrideMLP, NoLLCChain: true, NoBusQueue: true, BranchMissRate: -1},
 	} {
 		c := m.Compile(opts)
-		if err := c.EvaluateBatchInto(context.Background(), configs, &br); err != nil {
-			t.Fatal(err)
-		}
-		batch, err := c.EvaluateBatch(context.Background(), configs)
-		if err != nil {
+		c.PrepareBatch(&br, len(configs))
+		if err := c.EvaluateRangeInto(context.Background(), configs, &br, 0); err != nil {
 			t.Fatal(err)
 		}
 		for i, cfg := range configs {
 			if !br.Valid(i) {
 				t.Fatalf("opts %+v: slot %d (%s) invalid", opts, i, cfg.Name)
 			}
-			want, err := json.Marshal(c.Evaluate(cfg))
+			want, err := json.Marshal(coldEvaluate(c, cfg))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := json.Marshal(br.Result(i))
+			got, err := json.Marshal(rowResult(&br, i))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if string(want) != string(got) {
-				t.Fatalf("opts %+v: EvaluateBatchInto slot %d (%s) differs from Evaluate:\ninto:   %s\nsingle: %s",
+				t.Fatalf("opts %+v: batched slot %d (%s) differs from a cold kernel:\nbatch: %s\ncold:  %s",
 					opts, i, cfg.Name, got, want)
 			}
-			adapter, err := json.Marshal(batch[i])
+			single, err := json.Marshal(c.Evaluate(cfg))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if string(want) != string(adapter) {
-				t.Fatalf("opts %+v: EvaluateBatch slot %d (%s) differs from Evaluate", opts, i, cfg.Name)
+			if string(want) != string(single) {
+				t.Fatalf("opts %+v: Evaluate of %d (%s) differs from a cold kernel", opts, i, cfg.Name)
 			}
 		}
 	}
@@ -67,7 +99,7 @@ func TestEvaluateBatchIntoGolden(t *testing.T) {
 // TestDVFSFastPathGolden pins the DVFS fast path: over a clock-only sweep a
 // warm Batch must (a) never touch the geometry or miss-ratio memos again —
 // the invariant stages are skipped entirely — and (b) stay deeply equal to
-// the general path, including across a mid-sweep key change (which must
+// a cold kernel, including across a mid-sweep key change (which must
 // invalidate the cached per-clock columns) and back.
 func TestDVFSFastPathGolden(t *testing.T) {
 	m := modelFor(t, "soplex", 60_000)
@@ -81,12 +113,12 @@ func TestDVFSFastPathGolden(t *testing.T) {
 		}
 	}
 
-	b := c.NewBatch()
-	b.Evaluate(clockOnly[0]) // prime the invariants for the sweep's key
+	b := &Batch{c: c}
+	evaluateOn(b, clockOnly[0]) // prime the invariants for the sweep's key
 	before := c.Stats()
 	fast := make([]*Result, len(clockOnly))
 	for i, cfg := range clockOnly {
-		fast[i] = b.Evaluate(cfg)
+		fast[i] = evaluateOn(b, cfg)
 	}
 	after := c.Stats()
 	if after.GeometryLookups != before.GeometryLookups {
@@ -98,8 +130,8 @@ func TestDVFSFastPathGolden(t *testing.T) {
 			after.MissRatioLookups-before.MissRatioLookups)
 	}
 	for i, cfg := range clockOnly {
-		if general := c.Evaluate(cfg); !reflect.DeepEqual(general, fast[i]) {
-			t.Fatalf("fast path result %d (%s) differs from general path", i, cfg.Name)
+		if cold := coldEvaluate(c, cfg); !reflect.DeepEqual(cold, fast[i]) {
+			t.Fatalf("fast path result %d (%s) differs from a cold kernel", i, cfg.Name)
 		}
 	}
 
@@ -109,16 +141,16 @@ func TestDVFSFastPathGolden(t *testing.T) {
 	wide := config.DesignSpace()[81] // a width-4 point vs whatever ran before
 	mixed := []*config.Config{clockOnly[0], wide, clockOnly[1], clockOnly[2]}
 	for i, cfg := range mixed {
-		got := b.Evaluate(cfg)
-		if want := c.Evaluate(cfg); !reflect.DeepEqual(want, got) {
-			t.Fatalf("mixed sweep result %d (%s) differs from general path", i, cfg.Name)
+		got := evaluateOn(b, cfg)
+		if want := coldEvaluate(c, cfg); !reflect.DeepEqual(want, got) {
+			t.Fatalf("mixed sweep result %d (%s) differs from a cold kernel", i, cfg.Name)
 		}
 	}
 }
 
 // TestEvaluateRangeIntoNilAndOffset pins EvaluateRangeInto's contract: rows
 // land at their offset, nil configurations leave their slot invalid, and
-// valid slots match Evaluate.
+// valid slots match a cold kernel.
 func TestEvaluateRangeIntoNilAndOffset(t *testing.T) {
 	m := modelFor(t, "gamess", 60_000)
 	c := m.Compile(DefaultOptions())
@@ -143,8 +175,46 @@ func TestEvaluateRangeIntoNilAndOffset(t *testing.T) {
 		if !br.Valid(i) {
 			t.Fatalf("slot %d (%s) invalid", i, cfg.Name)
 		}
-		if want := c.Evaluate(cfg); !reflect.DeepEqual(want, br.Result(i)) {
-			t.Fatalf("slot %d (%s) differs from Evaluate", i, cfg.Name)
+		if want := coldEvaluate(c, cfg); !reflect.DeepEqual(want, rowResult(&br, i)) {
+			t.Fatalf("slot %d (%s) differs from a cold kernel", i, cfg.Name)
 		}
+	}
+}
+
+// TestBatchResultReleaseClearsEveryWrittenRow pins Release's contract: it
+// drops every name written since the last Release, even when a smaller
+// PrepareBatch shrank the batch in between.
+func TestBatchResultReleaseClearsEveryWrittenRow(t *testing.T) {
+	m := modelFor(t, "gamess", 60_000)
+	c := m.Compile(DefaultOptions())
+	configs := config.DesignSpace()[:20]
+	var br BatchResult
+	c.PrepareBatch(&br, len(configs))
+	if err := c.EvaluateRangeInto(context.Background(), configs, &br, 0); err != nil {
+		t.Fatal(err)
+	}
+	c.PrepareBatch(&br, 5)
+	br.Release()
+	for i, name := range br.names[:cap(br.names)] {
+		if name != "" {
+			t.Fatalf("row %d still pins %q after Release", i, name)
+		}
+	}
+}
+
+// TestPutBatchTrimInvalidatesKey pins the pool's put path: when the trim
+// drops an oversized invariant buffer, the kernel must forget the DVFS key
+// those invariants belonged to, or the next same-key evaluation would
+// finish over an empty buffer.
+func TestPutBatchTrimInvalidatesKey(t *testing.T) {
+	m := modelFor(t, "gamess", 60_000)
+	c := m.Compile(DefaultOptions())
+	cfg := config.Reference()
+	b := &Batch{c: c}
+	want := evaluateOn(b, cfg)
+	b.scr.invs = append(make([]microInv, 0, pooledCapLimit+1), b.scr.invs...)
+	c.putBatch(b)
+	if got := evaluateOn(b, cfg); !reflect.DeepEqual(want, got) {
+		t.Fatal("evaluation after a trimming put differs from the one before it")
 	}
 }

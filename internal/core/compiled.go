@@ -66,9 +66,9 @@ type Compiled struct {
 	mrLookups    atomic.Uint64
 	mrComputes   atomic.Uint64
 
-	// batches pools warm evaluation kernels — scratch buffers plus the
-	// DVFS fast-path state — for the batched *Into entry points, so
-	// repeated generations reuse invariants instead of rebuilding them.
+	// batches pools warm evaluation kernels — scratch buffers, lookup
+	// caches and the DVFS fast-path state — for every evaluation entry
+	// point, so repeated calls reuse invariants instead of rebuilding them.
 	batches sync.Pool
 }
 
@@ -152,9 +152,10 @@ func newCompiled(m *Model, opts Options) *Compiled {
 // Lookups minus computes is the number of cache hits. Under concurrent
 // evaluation two goroutines may race to fill the same entry, so computes is
 // an upper bound on distinct keys; single-goroutine use counts exactly.
-// Batch kernels consult their own lock-free caches first and reach these
-// tables only on a batch-cache miss, so lookup counters under-count batched
-// sweeps (computes stay exact).
+// Every evaluation runs on a Batch kernel, which consults its own lock-free
+// caches first and reaches these tables only on a batch-cache miss, so the
+// lookup counters count batch-cache misses, not evaluations (computes stay
+// exact).
 type CompiledStats struct {
 	// GeometryLookups and StatStackPredicts count per-config geometry
 	// resolutions and the StatStack predictions actually computed.
@@ -289,29 +290,24 @@ type scratch struct {
 	tied     []int
 	multi    []trace.Class
 	invs     []microInv
-	mems     []mlp.MicroMem
 }
 
-// ensureMicros sizes the per-micro-trace stage buffers for one evaluation.
+// ensureMicros sizes the per-micro-trace invariant buffer for one
+// evaluation.
 func (s *scratch) ensureMicros(n int) {
 	if cap(s.invs) < n {
 		s.invs = make([]microInv, n)
 	} else {
 		s.invs = s.invs[:n]
 	}
-	if cap(s.mems) < n {
-		s.mems = make([]mlp.MicroMem, n)
-	} else {
-		s.mems = s.mems[:n]
-	}
 }
 
 // pooledCapLimit bounds the slice capacity a scratch may carry back into
-// scratchPool: one evaluation of a pathologically wide configuration (or a
-// profile with an enormous micro-trace count) must not pin its buffers for
-// the life of the pool. Oversized slices are dropped on Put and reallocated
-// by the next evaluation that needs them; real configurations stay far
-// below the limit, so the trim is free on the steady path.
+// the kernel pool: one evaluation of a pathologically wide configuration
+// (or a profile with an enormous micro-trace count) must not pin its
+// buffers for the life of the pool. Oversized slices are dropped on Put and
+// reallocated by the next evaluation that needs them; real configurations
+// stay far below the limit, so the trim is free on the steady path.
 const pooledCapLimit = 1 << 12
 
 // trim drops oversized buffers before the scratch returns to the pool.
@@ -331,39 +327,30 @@ func (s *scratch) trim() {
 	if cap(s.invs) > pooledCapLimit {
 		s.invs = nil
 	}
-	if cap(s.mems) > pooledCapLimit {
-		s.mems = nil
-	}
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-// Evaluate predicts performance for one configuration. It is phase 2 of
-// the split and nearly free: every config-invariant quantity comes from the
-// compile phase or a memo table. Safe for concurrent use.
+// Evaluate predicts performance for one configuration: a batch of one on a
+// pooled kernel, so single and batched evaluation run the same stages with
+// the same caches. Safe for concurrent use.
 //
 //mipp:hotpath
 func (c *Compiled) Evaluate(cfg *config.Config) *Result {
-	scr := scratchPool.Get().(*scratch)
-	res := c.evaluate(cfg, scr)
-	scr.trim()
-	scratchPool.Put(scr)
+	b := c.batches.Get().(*Batch)
+	res := &Result{MicroCPI: make([]float64, 0, len(c.micros))}
+	b.evaluateInto(cfg, res)
+	c.putBatch(b)
 	return res
 }
 
-// evaluate applies Equation 3.1 across the micro-traces for one
-// configuration and combines the predictions. It is the one-shot
-// composition of the three kernel stages the batched DVFS fast path reuses
-// separately: invariants (everything independent of the clock), computeMems
-// (the frequency-dependent MLP model queries) and finish (the combine).
-//
-//mipp:hotpath
-func (c *Compiled) evaluate(cfg *config.Config, scr *scratch) *Result {
-	res := &Result{MicroCPI: make([]float64, 0, len(c.micros))}
-	ge, missRate := c.invariants(cfg, scr)
-	c.computeMems(cfg, scr.invs, scr.mems)
-	c.finish(cfg, ge, missRate, scr.invs, scr.mems, res)
-	return res
+// putBatch returns a kernel to c.batches, first trimming the scratch
+// buffers a pathological configuration grew. Dropping the per-micro
+// invariants invalidates the DVFS key they were computed for.
+func (c *Compiled) putBatch(b *Batch) {
+	b.scr.trim()
+	if b.scr.invs == nil {
+		b.keyValid = false
+	}
+	c.batches.Put(b)
 }
 
 // microInv is the clock-invariant share of one micro-trace's evaluation:
@@ -379,44 +366,6 @@ type microInv struct {
 	limiter int
 	skip    bool // zero-length micro-trace: contributes nothing
 	prm     mlp.Params
-}
-
-// invariants computes the clock-invariant evaluation state for one
-// configuration: the geometry entry, the branch miss rate, and one microInv
-// per micro-trace in scr.invs.
-//
-//mipp:hotpath
-func (c *Compiled) invariants(cfg *config.Config, scr *scratch) (*geomEntry, float64) {
-	ge := c.geometry(cfg)
-	missRate := c.opts.BranchMissRate
-	if missRate < 0 {
-		missRate = c.model.missRateFor(cfg.Predictor)
-	}
-	prm := c.prm
-	prm.ROB = cfg.ROB
-	prm.MSHRs = cfg.MSHRs
-	prm.L1Lines = float64(cfg.L1D.Lines())
-	prm.L2Lines = float64(cfg.L2.Lines())
-	prm.LLCLines = float64(cfg.L3.Lines())
-	prm.Prefetch = cfg.Prefetcher
-	scr.ensureMicros(len(c.micros))
-	full := c.opts.DispatchModel == DispatchFull
-	for mi := range c.micros {
-		if c.micros[mi].Len == 0 {
-			scr.invs[mi] = microInv{skip: true}
-			continue
-		}
-		mrL1 := c.missRatio(mi, prm.L1Lines)
-		mrL2 := c.missRatio(mi, prm.L2Lines)
-		mrLLC := c.missRatio(mi, prm.LLCLines)
-		_, abp, cp := c.chainAt(mi, cfg.ROB)
-		var portD, unitD float64
-		if full {
-			portD, unitD = effectiveDispatchLimits(c.microMixes[mi], cfg, scr)
-		}
-		c.microInvariant(mi, cfg, ge, &prm, missRate, mrL1, mrL2, mrLLC, abp, cp, portD, unitD, &scr.invs[mi])
-	}
-	return ge, missRate
 }
 
 // computeMems runs the frequency-dependent MLP model query for every
@@ -511,7 +460,7 @@ func (c *Compiled) finish(cfg *config.Config, ge *geomEntry, missRate float64, i
 // frequency-derived fields. The memoized or mix-derived per-micro inputs —
 // the raw L1/L2/LLC load miss ratios, the chain interpolation (ABP, CP) at
 // cfg.ROB, and the port/unit dispatch bounds — are computed by the caller,
-// so batch kernels can serve them from their lock-free local caches. The
+// which serves them from the batch kernel's lock-free local caches. The
 // result is written into out (a reused scr.invs slot), and prm's per-micro
 // fields (MispredictEvery, DispatchRate) are unconditionally reassigned, so
 // one caller-owned Params template serves every micro.

@@ -19,8 +19,8 @@
 // Evaluation is split into two phases. Compile (phase 1) precomputes and
 // memoizes everything that does not depend on the full configuration — the
 // StatStack curves, per-micro mixes and MLP models, per-cache-geometry miss
-// ratios. Evaluate / EvaluateBatch (phase 2) is then a cheap analytical
-// query per configuration; see Compiled.
+// ratios. Evaluate / EvaluateRangeInto (phase 2) is then a cheap analytical
+// query per configuration on one kernel, Batch; see Compiled.
 package core
 
 import (
@@ -162,7 +162,7 @@ func (m *Model) Compile(opts Options) *Compiled {
 
 // Evaluate predicts performance for one configuration, compiling (or
 // reusing) the kernel for opts first. Callers evaluating many
-// configurations should Compile once and use Compiled.EvaluateBatch.
+// configurations should Compile once and use Compiled.EvaluateRangeInto.
 func (m *Model) Evaluate(cfg *config.Config, opts Options) *Result {
 	return m.Compile(opts).Evaluate(cfg)
 }
@@ -221,24 +221,6 @@ func averageLatency(mix [trace.NumClasses]float64, cfg *config.Config, mrL1 floa
 	return lat
 }
 
-// effectiveDispatch computes Deff (Equation 3.10) and reports which factor
-// limits it: 0 = dispatch width, 1 = dependences, 2 = functional port,
-// 3 = functional unit.
-func effectiveDispatch(mix [trace.NumClasses]float64, cfg *config.Config, lat, cp float64, dm DispatchModel) (float64, int) {
-	var scr scratch
-	return effectiveDispatchScratch(mix, cfg, lat, cp, dm, &scr)
-}
-
-// effectiveDispatchScratch is effectiveDispatch on caller-owned scratch, so
-// the batched hot path schedules ports without allocating.
-func effectiveDispatchScratch(mix [trace.NumClasses]float64, cfg *config.Config, lat, cp float64, dm DispatchModel, scr *scratch) (float64, int) {
-	var portD, unitD float64
-	if dm == DispatchFull {
-		portD, unitD = effectiveDispatchLimits(mix, cfg, scr)
-	}
-	return effectiveDispatchFrom(cfg, lat, cp, dm, portD, unitD)
-}
-
 // effectiveDispatchLimits computes the port- and unit-contention dispatch
 // bounds — functions of the uop mix and the port/FU tables only, never of
 // latency, window or clock, so batch kernels cache them per micro across
@@ -253,9 +235,10 @@ func effectiveDispatchLimits(mix [trace.NumClasses]float64, cfg *config.Config, 
 	return portLimit(mix, cfg, scr), unitLimit(mix, cfg)
 }
 
-// effectiveDispatchFrom combines the dispatch bounds into Deff (Eq 3.10).
-// portD and unitD are read only under DispatchFull, the one model that
-// prices contention.
+// effectiveDispatchFrom combines the dispatch bounds into Deff (Eq 3.10)
+// and reports which factor limits it: 0 = dispatch width, 1 = dependences,
+// 2 = functional port, 3 = functional unit. portD and unitD are read only
+// under DispatchFull, the one model that prices contention.
 //
 //mipp:hotpath
 func effectiveDispatchFrom(cfg *config.Config, lat, cp float64, dm DispatchModel, portD, unitD float64) (float64, int) {

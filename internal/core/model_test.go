@@ -148,6 +148,14 @@ func TestMLPModesOrdering(t *testing.T) {
 	}
 }
 
+// effectiveDispatch computes Deff and its limiter for one mix the way the
+// kernel does: contention bounds first, then the Eq 3.10 combine.
+func effectiveDispatch(mix [trace.NumClasses]float64, cfg *config.Config, lat, cp float64, dm DispatchModel) (float64, int) {
+	var scr scratch
+	portD, unitD := effectiveDispatchLimits(mix, cfg, &scr)
+	return effectiveDispatchFrom(cfg, lat, cp, dm, portD, unitD)
+}
+
 func TestEffectiveDispatchPortLimit(t *testing.T) {
 	// A pure-load mix on the reference core is limited by the single
 	// load port: Deff = 1/loadfrac.

@@ -22,6 +22,20 @@ var DeterministicPackages = []string{
 	"mipp/internal/config",
 	"mipp/internal/dse",
 	"mipp/internal/statstack",
+	// The profile pipeline: a profile's bytes decide its store digest and
+	// every prediction made from it.
+	"mipp/internal/profiler",
+	"mipp/internal/branch",
+	"mipp/internal/mlp",
+	"mipp/internal/stats",
+	"mipp/internal/workload",
+	"mipp/internal/trace",
+	"mipp/internal/cache",
+	"mipp/internal/ooo",
+	"mipp/internal/power",
+	"mipp/internal/perf",
+	"mipp/internal/prefetch",
+	"mipp/internal/memory",
 }
 
 // Determinism is the analyzer with the repository's default scope.

@@ -7,7 +7,7 @@ import (
 )
 
 // Hotpath enforces the //mipp:hotpath annotation: a function so marked sits
-// on the per-configuration evaluation path (Compiled.EvaluateBatch and its
+// on the per-configuration evaluation path (Compiled.EvaluateRangeInto and its
 // callees, Space.At, strategy step functions, memo-table lookups) where the
 // benchmark suite budgets allocations per evaluation. The analyzer flags
 // the constructs that allocate or otherwise wreck that budget.

@@ -13,6 +13,8 @@
 package profiler
 
 import (
+	"sort"
+
 	"mipp/internal/branch"
 	"mipp/internal/stats"
 	"mipp/internal/trace"
@@ -365,6 +367,7 @@ func Run(s *trace.Stream, opts Options) *Profile {
 		for _, sl := range curStatics {
 			cur.Loads = append(cur.Loads, sl)
 		}
+		sort.Slice(cur.Loads, func(i, j int) bool { return cur.Loads[i].Static < cur.Loads[j].Static })
 		p.Micros = append(p.Micros, cur)
 		p.MicroUops += int64(cur.Len)
 		p.MicroInstr += cur.Instrs

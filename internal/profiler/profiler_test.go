@@ -1,6 +1,8 @@
 package profiler
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"mipp/internal/stats"
@@ -147,4 +149,24 @@ func histFrom(m map[int64]float64) *stats.Histogram {
 		h.AddWeighted(k, v)
 	}
 	return h
+}
+
+// TestRunDeterministic profiles every catalog workload twice and requires
+// byte-identical profile JSON: an unchanged stream must keep its store
+// digest, and the model must see the same inputs on every run.
+func TestRunDeterministic(t *testing.T) {
+	for _, name := range workload.Names() {
+		s := workload.MustGenerate(name, 20_000, 0)
+		first, err := json.Marshal(Run(s, Options{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := json.Marshal(Run(s, Options{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Errorf("%s: two profilings of one stream differ", name)
+		}
+	}
 }

@@ -62,7 +62,7 @@ func main() {
 	var (
 		out                = flag.String("out", "BENCH_pr8.json", "output JSON path (- for stdout)")
 		pr                 = flag.Int("pr", 8, "PR number stamped into the record")
-		note               = flag.String("note", "zero-alloc struct-of-arrays batch kernel: EvaluateBatchInto + batch-local memo caches; DVFS fast path >1M configs/s", "note stamped into the record")
+		note               = flag.String("note", "zero-alloc struct-of-arrays batch kernel: EvaluateRangeInto + batch-local memo caches; DVFS fast path >1M configs/s", "note stamped into the record")
 		lims, mins, ratios budgets
 	)
 	flag.Var(&lims, "limit", "budget NAME:METRIC:MAX (repeatable); fail if exceeded or missing")

@@ -18,9 +18,9 @@ var (
 func init() {
 	d := obs.Default()
 	d.RegisterCounter("mipp_kernel_batches_total",
-		"Batched kernel invocations (PredictBatchInto calls).", &kernelBatches)
+		"Kernel invocations: one per Predict, PredictBatchInto, sweep or engine request fan-out.", &kernelBatches)
 	d.RegisterCounter("mipp_kernel_configs_total",
-		"Configurations evaluated by the batched kernel.", &kernelConfigs)
+		"Configurations evaluated by the kernel, each once, single predictions included.", &kernelConfigs)
 }
 
 // engineMetrics holds the Engine-owned instruments that are observed on
@@ -30,7 +30,7 @@ func init() {
 // MetricsInto only decides whether a scrape can see them.
 type engineMetrics struct {
 	compileSeconds   *obs.Histogram // predictor compile (profile resolve + NewPredictor)
-	evaluateSeconds  *obs.Histogram // one batch-kernel run over a config chunk
+	evaluateSeconds  *obs.Histogram // one request's kernel fan-out (one window for streamed sweeps)
 	storeLoadSeconds *obs.Histogram // profile resolution that had to hit the store
 
 	searchGenSeconds  *obs.Histogram // one search-strategy generation
@@ -74,7 +74,7 @@ func (e *Engine) MetricsInto(reg *obs.Registry) {
 	reg.RegisterHistogram("mipp_engine_compile_seconds",
 		"Predictor compile duration (profile resolve + model build).", e.metrics.compileSeconds)
 	reg.RegisterHistogram("mipp_engine_evaluate_seconds",
-		"Batch-kernel run duration over one configuration chunk.", e.metrics.evaluateSeconds)
+		"Kernel fan-out duration of one engine request (one window for streamed sweeps).", e.metrics.evaluateSeconds)
 	reg.RegisterHistogram("mipp_engine_store_load_seconds",
 		"Profile resolutions that went to the backing store.", e.metrics.storeLoadSeconds)
 

@@ -218,52 +218,17 @@ func (r *Result) Point() Point {
 	return Point{Config: r.Config, Time: r.TimeSeconds(), Power: r.Watts()}
 }
 
-// resolve validates cfg and applies the predictor's prefetcher override,
-// copying the configuration when the override changes it.
-func (pd *Predictor) resolve(cfg *Config) (*Config, error) {
-	if cfg == nil {
-		return nil, fmt.Errorf("mipp: Predict: nil config")
-	}
-	c := cfg
-	if pd.prefetcher != nil && c.Prefetcher.Enabled != *pd.prefetcher {
-		cc := *cfg
-		cc.Prefetcher.Enabled = *pd.prefetcher
-		c = &cc
-	}
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("mipp: Predict: %w", err)
-	}
-	return c, nil
-}
-
-// toResult lifts a core prediction into the public Result, attaching the
-// power estimate.
-func toResult(c *Config, res *core.Result) *Result {
-	return &Result{
-		Config:         res.Config,
-		Workload:       res.Workload,
-		FrequencyGHz:   c.FrequencyGHz,
-		Cycles:         res.Cycles,
-		Uops:           res.Uops,
-		Instructions:   res.Instructions,
-		Stack:          res.Stack,
-		Activity:       res.Activity,
-		Power:          power.Estimate(c, &res.Activity),
-		Deff:           res.Deff,
-		MLP:            res.MLP,
-		BranchMissRate: res.BranchMissRate,
-		MicroCPI:       res.MicroCPI,
-	}
-}
-
-// Predict evaluates one configuration. The configuration is validated first
-// and never mutated; Predict is safe to call concurrently.
+// Predict evaluates one configuration: a batch of one through
+// PredictBatchInto on a pooled BatchResult. The configuration is validated
+// first and never mutated; Predict is safe to call concurrently.
 func (pd *Predictor) Predict(cfg *Config) (*Result, error) {
-	c, err := pd.resolve(cfg)
-	if err != nil {
+	br := getBatchResult()
+	defer putBatchResult(br)
+	_ = pd.PredictBatchInto(context.Background(), []*Config{cfg}, br) // a Background context never cancels
+	if err := br.Err(0); err != nil {
 		return nil, err
 	}
-	return toResult(c, pd.compiled.Evaluate(c)), nil
+	return br.Result(0), nil
 }
 
 // PredictBatch evaluates every configuration in input order on one reused

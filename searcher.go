@@ -23,27 +23,18 @@ import (
 // concurrently (the Runner drives it serially).
 func NewSearchEvaluator(pd *Predictor, workers int) search.Evaluator {
 	br := &BatchResult{}
+	pds, brs := []*Predictor{pd}, []*BatchResult{br}
 	var out []search.Metrics
 	return func(ctx context.Context, configs []*Config) ([]search.Metrics, error) {
 		if pd == nil {
 			return nil, fmt.Errorf("mipp: search evaluator: nil predictor")
 		}
-		sweepInto(ctx, pd, configs, workers, br)
+		sweepInto(ctx, pds, configs, workers, brs)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		var failures []error
-		for i := range configs {
-			if err := br.Err(i); err != nil {
-				name := "<nil>"
-				if configs[i] != nil {
-					name = configs[i].Name
-				}
-				failures = append(failures, fmt.Errorf("config %d (%s): %w", i, name, err))
-			}
-		}
-		if len(failures) > 0 {
-			return nil, errors.Join(failures...)
+		if err := joinFailures(configs, br); err != nil {
+			return nil, err
 		}
 		out = growSlice(out, len(configs))
 		for i := range configs {

@@ -25,9 +25,11 @@ func WithWorkers(n int) SweepOption {
 }
 
 // runPool executes fn(0..n-1) on a bounded worker pool, stopping early on
-// context cancellation. It is the shared fan-out machinery under Sweep and
-// Engine.Evaluate: work-stealing by atomic index, so results land at their
-// input index and the output is deterministic for any worker count.
+// context cancellation. It is the shared fan-out machinery under sweepInto
+// and the Engine's predictor compiles: work-stealing by atomic index, so
+// results land at their input index and the output is deterministic for any
+// worker count. A pool of one runs on the calling goroutine, so a
+// one-config request starts no goroutine.
 func runPool(ctx context.Context, n, workers int, fn func(i int)) {
 	if n == 0 {
 		return
@@ -37,6 +39,12 @@ func runPool(ctx context.Context, n, workers int, fn func(i int)) {
 	}
 	if workers > n {
 		workers = n
+	}
+	if workers == 1 {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			fn(i)
+		}
+		return
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -73,28 +81,55 @@ func batchChunk(n, workers int) int {
 	return chunk
 }
 
-// sweepInto fans the predictor's batch kernel over contiguous chunks of
-// configs on the pool, landing rows at their input index in the
-// caller-owned (typically pooled, reused) BatchResult. It is the one
-// fan-out used by Sweep, the Engine and the search evaluator; chunks are
-// disjoint row ranges, so the workers share br race-free, and cancellation
-// is observed between configs inside each chunk (a context error surfaces
-// through the caller's ctx.Err() check).
-func sweepInto(ctx context.Context, pd *Predictor, configs []*Config, workers int, br *BatchResult) {
-	// The other batched-kernel entry point (PredictBatchInto counts its own
-	// calls); two atomic adds, nothing else.
+// sweepInto fans the batch kernels of pds over the workloads × configs
+// cross product on one pool, landing workload w's rows at their input index
+// in the caller-owned (typically pooled, reused) brs[w]; a nil pds[w] is
+// skipped. It is the one fan-out under Sweep, the search evaluator and
+// every Engine surface. Pool tasks are contiguous config chunks of one
+// workload, so each runs one kernel over reused scratch, and chunks are
+// disjoint row ranges, so the workers share each br race-free.
+// Cancellation is observed between configs inside each chunk (a context
+// error surfaces through the caller's ctx.Err() check).
+func sweepInto(ctx context.Context, pds []*Predictor, configs []*Config, workers int, brs []*BatchResult) {
+	// The other kernel entry point (PredictBatchInto counts its own calls);
+	// atomic adds only.
 	kernelBatches.Inc()
-	kernelConfigs.Add(uint64(len(configs)))
-	pd.prepareBatch(br, len(configs))
-	chunk := batchChunk(len(configs), workers)
-	nchunks := (len(configs) + chunk - 1) / chunk
-	runPool(ctx, nchunks, workers, func(ci int) {
-		lo := ci * chunk
+	for w, pd := range pds {
+		if pd != nil {
+			pd.prepareBatch(brs[w], len(configs))
+			kernelConfigs.Add(uint64(len(configs)))
+		}
+	}
+	chunk := batchChunk(len(pds)*len(configs), workers)
+	perWorkload := (len(configs) + chunk - 1) / chunk
+	runPool(ctx, len(pds)*perWorkload, workers, func(ti int) {
+		pd, br := pds[ti/perWorkload], brs[ti/perWorkload]
+		if pd == nil {
+			return
+		}
+		lo := ti % perWorkload * chunk
 		hi := min(lo+chunk, len(configs))
 		pd.resolveRange(configs[lo:hi], br, lo)
 		_ = pd.compiled.EvaluateRangeInto(ctx, br.resolved[lo:hi], &br.core, lo)
 		pd.finishRange(br, lo, hi)
 	})
+}
+
+// joinFailures joins every per-config failure in br, each with its index
+// and name, so one diagnostic pass surfaces all bad configs; nil when every
+// configuration validated.
+func joinFailures(configs []*Config, br *BatchResult) error {
+	var failures []error
+	for i := range configs {
+		if err := br.Err(i); err != nil {
+			name := "<nil>"
+			if configs[i] != nil {
+				name = configs[i].Name
+			}
+			failures = append(failures, fmt.Errorf("config %d (%s): %w", i, name, err))
+		}
+	}
+	return errors.Join(failures...)
 }
 
 // Sweep evaluates the predictor over every configuration, fanning
@@ -123,22 +158,12 @@ func Sweep(ctx context.Context, pd *Predictor, configs []*Config, opts ...SweepO
 
 	br := getBatchResult()
 	defer putBatchResult(br)
-	sweepInto(ctx, pd, configs, sc.workers, br)
+	sweepInto(ctx, []*Predictor{pd}, configs, sc.workers, []*BatchResult{br})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var failures []error
-	for i := range configs {
-		if err := br.Err(i); err != nil {
-			name := "<nil>"
-			if configs[i] != nil {
-				name = configs[i].Name
-			}
-			failures = append(failures, fmt.Errorf("config %d (%s): %w", i, name, err))
-		}
-	}
-	if len(failures) > 0 {
-		return nil, errors.Join(failures...)
+	if err := joinFailures(configs, br); err != nil {
+		return nil, err
 	}
 	results := make(Results, len(configs))
 	for i := range configs {

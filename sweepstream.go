@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"mipp/api"
-	"mipp/obs"
 )
 
 // SweepSink receives a streamed sweep: Start once with the workload and the
@@ -57,34 +56,25 @@ func (e *Engine) SweepStream(ctx context.Context, req *api.SweepRequest, sink Sw
 
 	// One window = one batch chunk per worker: every window saturates the
 	// pool the way a full Sweep would, and items stream at window
-	// boundaries. The pooled BatchResult is reused across windows; each
-	// emitted item is an independent DTO copy, so reusing the buffers for
-	// the next window never mutates an already-published item.
-	br := getBatchResult()
-	defer putBatchResult(br)
+	// boundaries. Each emitted item is an independent DTO copy, so the
+	// next window reusing pooled buffers never mutates a published item.
+	workloads, pds := []string{req.Workload}, []*Predictor{pd}
 	window := batchChunk(len(configs), workers) * workers
 	for lo := 0; lo < len(configs); lo += window {
 		hi := min(lo+window, len(configs))
-		t := obs.StartTimer()
-		sweepInto(ctx, pd, configs[lo:hi], workers, br)
-		t.ObserveInto(e.metrics.evaluateSeconds)
-		if err := ctx.Err(); err != nil {
+		err := e.serve(ctx, workloads, pds, nil, req.Options, configs[lo:hi], workers, false,
+			func(i int, res *api.Result, err error) error {
+				item := api.SweepItem{Index: lo + i, Result: res}
+				if cfg := configs[lo+i]; cfg != nil {
+					item.Config = cfg.Name
+				}
+				if err != nil {
+					item.Error = err.Error()
+				}
+				return sink.Item(item)
+			})
+		if err != nil {
 			return err
-		}
-		for i := lo; i < hi; i++ {
-			item := api.SweepItem{Index: i}
-			if configs[i] != nil {
-				item.Config = configs[i].Name
-			}
-			switch {
-			case br.Err(i-lo) != nil:
-				item.Error = br.Err(i - lo).Error()
-			case br.Ok(i - lo):
-				item.Result = br.apiResult(i-lo, false)
-			}
-			if err := sink.Item(item); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
