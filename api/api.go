@@ -12,7 +12,9 @@ package api
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 
@@ -30,6 +32,28 @@ func CheckVersion(got int) error {
 		return fmt.Errorf("api: unsupported schema version %d (this build speaks %d)", got, SchemaVersion)
 	}
 	return nil
+}
+
+// DecodeRequest decodes one request DTO from r as strictly as the service
+// does: unknown fields, and anything but whitespace after the value, are
+// errors. An error reading r, such as a body-size limit, stays matchable
+// with errors.As, so callers can tell "shrink the upload" from "fix the
+// JSON".
+func DecodeRequest(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("decode request: %w", err)
+	}
+	var syntax *json.SyntaxError
+	switch _, err := dec.Token(); {
+	case errors.Is(err, io.EOF):
+		return nil
+	case err == nil, errors.As(err, &syntax):
+		return errors.New("trailing data after request body")
+	default:
+		return err
+	}
 }
 
 // ConfigSpec names one processor configuration to evaluate: either a stock

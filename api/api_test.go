@@ -2,8 +2,11 @@ package api
 
 import (
 	"encoding/json"
+	"errors"
+	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"mipp/arch"
 )
@@ -16,6 +19,39 @@ func TestCheckVersion(t *testing.T) {
 		if err := CheckVersion(v); err == nil {
 			t.Errorf("version %d accepted", v)
 		}
+	}
+}
+
+func TestDecodeRequest(t *testing.T) {
+	const req = `{"schema_version":1,"workloads":["mcf"],"configs":[{"name":"reference"}],"options":{}}`
+	for _, c := range []struct {
+		name, body, wantErr string
+	}{
+		{"exact", req, ""},
+		{"trailing whitespace", req + " \n", ""},
+		{"malformed", `{"schema_version":1,`, "decode request"},
+		{"unknown field", strings.Replace(req, `"options"`, `"turbo":true,"options"`, 1), "unknown field"},
+		{"unknown inline config field", strings.Replace(req, `{"name":"reference"}`, `{"config":{"Name":"x","width":4}}`, 1), "unknown field"},
+		{"trailing value", req + " {}", "trailing data"},
+		{"trailing garbage", req + " x", "trailing data"},
+	} {
+		var got BatchRequest
+		err := DecodeRequest(strings.NewReader(c.body), &got)
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		//mipp:allow wraperr these errors have no sentinel; their messages are what a client sees
+		case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.wantErr)
+		}
+	}
+
+	// A read failure after the value is the reader's error, not "trailing
+	// data": the server maps a body-size limit hit there to 413.
+	limit := errors.New("body limit")
+	var got BatchRequest
+	if err := DecodeRequest(io.MultiReader(strings.NewReader(req), iotest.ErrReader(limit)), &got); !errors.Is(err, limit) {
+		t.Errorf("read error after the value: got %v, want %v", err, limit)
 	}
 }
 

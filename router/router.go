@@ -24,6 +24,7 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -268,6 +269,22 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // errNoReplicas is the 502 every route answers when the whole set is down.
 var errNoReplicas = errors.New("router: no healthy replicas")
 
+// callerGone reports whether r's caller has hung up or timed out, answering
+// the 499 a replica answers then (when w is non-nil). A hop that fails after
+// that failed because the router cancelled it, not because the replica is
+// down: it must not take the replica out of rotation, and a retry elsewhere
+// would fail the same way.
+func callerGone(w http.ResponseWriter, r *http.Request) bool {
+	err := r.Context().Err()
+	if err == nil {
+		return false
+	}
+	if w != nil {
+		writeError(w, 499, err)
+	}
+	return true
+}
+
 // readBody buffers the request body so it can be replayed across retries.
 func readBody(r *http.Request) ([]byte, error) {
 	if r.Body == nil {
@@ -360,6 +377,9 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, bo
 		resp, err := rt.send(r, m, body)
 		if err != nil {
 			m.inflight.Add(-1)
+			if callerGone(w, r) {
+				return
+			}
 			m.markDown()
 			rt.logf("replica %s: marked down (%v) rid=%s", m.url, err, rid)
 			continue
@@ -373,9 +393,9 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, bo
 }
 
 // sendBuffered is forward for handlers that need the replica's response
-// body in hand (to record a job route, or to merge). It returns the
-// response with its body fully read and replaced, or nil after exhausting
-// the set (the 502 is already written when w is non-nil).
+// body in hand (to record a job route, or to splice). It returns the
+// response with its body fully read, or nil after exhausting the set or
+// losing the caller (the 502 or 499 is already written when w is non-nil).
 func (rt *Router) sendBuffered(w http.ResponseWriter, r *http.Request, key string, body []byte) (*http.Response, []byte, *member) {
 	rid := api.RequestIDFromContext(r.Context())
 	for attempt := 0; attempt < len(rt.ring.members); attempt++ {
@@ -385,21 +405,20 @@ func (rt *Router) sendBuffered(w http.ResponseWriter, r *http.Request, key strin
 		}
 		m.inflight.Add(1)
 		resp, err := rt.send(r, m, body)
+		var data []byte
 		if err == nil {
-			data, rerr := io.ReadAll(resp.Body)
+			data, err = io.ReadAll(resp.Body)
 			resp.Body.Close()
-			m.inflight.Add(-1)
-			if rerr != nil {
-				m.markDown()
-				rt.logf("replica %s: marked down (%v) rid=%s", m.url, rerr, rid)
-				continue
-			}
-			return resp, data, m
 		}
 		m.inflight.Add(-1)
+		if err == nil {
+			return resp, data, m
+		}
+		if callerGone(w, r) {
+			return nil, nil, nil
+		}
 		m.markDown()
 		rt.logf("replica %s: marked down (%v) rid=%s", m.url, err, rid)
-		continue
 	}
 	if w != nil {
 		writeError(w, http.StatusBadGateway, errNoReplicas)
@@ -516,6 +535,9 @@ func (rt *Router) findJob(ctx context.Context, id string) *member {
 		}
 		resp, err := rt.healthHC.Do(req)
 		if err != nil {
+			if ctx.Err() != nil {
+				return nil
+			}
 			m.markDown()
 			continue
 		}
@@ -535,13 +557,18 @@ func (rt *Router) byJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	m := rt.findJob(r.Context(), id)
 	if m == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown search job %q", id))
+		if !callerGone(w, r) {
+			writeError(w, http.StatusNotFound, fmt.Errorf("unknown search job %q", id))
+		}
 		return
 	}
 	m.inflight.Add(1)
 	defer m.inflight.Add(-1)
 	resp, err := rt.send(r, m, nil)
 	if err != nil {
+		if callerGone(w, r) {
+			return
+		}
 		m.markDown()
 		writeError(w, http.StatusBadGateway, fmt.Errorf("replica %s: %w", m.url, err))
 		return
@@ -552,28 +579,60 @@ func (rt *Router) byJob(w http.ResponseWriter, r *http.Request) {
 	rt.relay(w, resp)
 }
 
+// batchHead, batchSep and batchTail frame a spliced evaluate answer exactly
+// as the replicas' encoding/json frames an api.BatchResponse.
+var (
+	batchHead = []byte(`{"schema_version":` + strconv.Itoa(api.SchemaVersion) + `,"items":[`)
+	batchSep  = []byte(",")
+	batchTail = []byte("]}\n")
+)
+
+// batchItems checks a replica's 2xx evaluate answer and returns the bytes
+// inside its items array, to be spliced without decoding one item.
+func batchItems(data []byte) ([]byte, error) {
+	var sub struct {
+		SchemaVersion int             `json:"schema_version"`
+		Items         json.RawMessage `json:"items"`
+	}
+	if err := json.Unmarshal(data, &sub); err != nil {
+		return nil, err
+	}
+	if err := api.CheckVersion(sub.SchemaVersion); err != nil {
+		return nil, err
+	}
+	if len(sub.Items) == 0 || sub.Items[0] != '[' {
+		return nil, errors.New("items is not an array")
+	}
+	return bytes.TrimSpace(sub.Items[1 : len(sub.Items)-1]), nil
+}
+
 // handleEvaluate scatter-gathers a cross-workload batch: one sub-request
-// per workload, placed like any single-workload request, merged back in
-// the request's workload order — exactly the row-major item order one
-// replica would produce, so the merged response is byte-identical to a
-// single-node answer.
+// per workload, placed like any single-workload request. The replicas'
+// item arrays are spliced verbatim in the request's workload order —
+// exactly the row-major item order one replica would produce, framed as
+// one replica frames it — so the answer is byte-identical to a single-node
+// one without the router decoding or re-encoding any item.
 func (rt *Router) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("read request body: %w", err))
 		return
 	}
-	var req api.BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil || len(req.Workloads) <= 1 {
-		// Malformed or single-workload: one replica can answer it whole
-		// (and owns the error message when it is malformed).
-		var peek struct {
-			Workload string
+	// The router splits only requests every replica accepts, decoded and
+	// validated as a replica does.
+	req := new(api.BatchRequest)
+	if err = api.DecodeRequest(bytes.NewReader(body), req); err == nil {
+		err = req.Validate()
+	}
+	if err != nil || len(req.Workloads) == 1 {
+		// One replica answers it whole: a single workload at its own
+		// placement, or a request the replicas refuse, so the verdict is
+		// the one a single daemon gives.
+		key := ""
+		if err == nil {
+			key = req.Workloads[0]
 		}
-		if len(req.Workloads) == 1 {
-			peek.Workload = req.Workloads[0]
-		}
-		rt.forward(w, r, peek.Workload, body)
+		rt.forward(w, r, key, body)
 		return
 	}
 
@@ -585,7 +644,7 @@ func (rt *Router) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	t := obs.StartTimer()
 	var wg sync.WaitGroup
 	for i, workload := range req.Workloads {
-		sub := req
+		sub := *req
 		sub.Workloads = []string{workload}
 		subBody, err := json.Marshal(&sub)
 		if err != nil {
@@ -602,27 +661,41 @@ func (rt *Router) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	wg.Wait()
 	t.ObserveInto(rt.fanout)
 
-	merged := api.BatchResponse{SchemaVersion: api.SchemaVersion}
+	items := make([][]byte, 0, len(parts))
 	for i, p := range parts {
 		if p.resp == nil {
-			writeError(w, http.StatusBadGateway, errNoReplicas)
+			if !callerGone(w, r) {
+				writeError(w, http.StatusBadGateway, errNoReplicas)
+			}
 			return
 		}
 		if p.resp.StatusCode/100 != 2 {
 			// Relay the first failing workload's verdict verbatim (first by
-			// request order, so the merged failure is deterministic).
+			// request order, so the failure is deterministic).
 			writeBuffered(w, p.resp, p.data)
 			return
 		}
-		var sub api.BatchResponse
-		if err := json.Unmarshal(p.data, &sub); err != nil {
+		inner, err := batchItems(p.data)
+		if err != nil {
 			writeError(w, http.StatusBadGateway,
 				fmt.Errorf("replica answer for workload %q: %w", req.Workloads[i], err))
 			return
 		}
-		merged.Items = append(merged.Items, sub.Items...)
+		if len(inner) > 0 {
+			items = append(items, inner)
+		}
 	}
-	writeJSON(w, http.StatusOK, merged)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// A failed write means the caller hung up: nobody is left to tell.
+	_, _ = w.Write(batchHead)
+	for i, it := range items {
+		if i > 0 {
+			_, _ = w.Write(batchSep)
+		}
+		_, _ = w.Write(it)
+	}
+	_, _ = w.Write(batchTail)
 }
 
 // handleWorkloads merges every healthy replica's catalog: replicas share a
@@ -646,6 +719,9 @@ func (rt *Router) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 			defer m.inflight.Add(-1)
 			resp, err := rt.send(r, m, nil)
 			if err != nil {
+				if callerGone(nil, r) {
+					return
+				}
 				m.markDown()
 				rt.logf("replica %s: marked down (%v) rid=%s", m.url, err, api.RequestIDFromContext(r.Context()))
 				return
@@ -681,7 +757,9 @@ func (rt *Router) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if !answered {
-		writeError(w, http.StatusBadGateway, errNoReplicas)
+		if !callerGone(w, r) {
+			writeError(w, http.StatusBadGateway, errNoReplicas)
+		}
 		return
 	}
 	sort.Slice(workloads, func(i, j int) bool { return workloads[i].Name < workloads[j].Name })

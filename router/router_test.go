@@ -179,6 +179,27 @@ func TestRouterByteIdentity(t *testing.T) {
 		{"workloads", "GET", "/v1/workloads", ""},
 		{"predict-unknown", "POST", "/v1/predict",
 			`{"schema_version":1,"workload":"nope","config":{"name":"reference"}}`},
+
+		// Evaluate shapes the splice must join as one replica writes them:
+		// item errors mid-answer, a workload repeated over a space, and an
+		// inline config that fails as an item error.
+		{"evaluate-unknown-mid-answer", "POST", "/v1/evaluate",
+			`{"schema_version":1,"workloads":["mcf","nope","gcc"],"configs":[{"name":"reference"},{"name":"lowpower"}],"options":{}}`},
+		{"evaluate-repeated-workload-space", "POST", "/v1/evaluate",
+			`{"schema_version":1,"workloads":["mcf","mcf"],"space":{"kind":"design","stride":27},"options":{}}`},
+		{"evaluate-inline-item-error", "POST", "/v1/evaluate",
+			`{"schema_version":1,"workloads":["mcf","gcc"],"configs":[{"config":{"Name":"bad"}}],"options":{}}`},
+
+		// Requests a replica refuses get that replica's verdict, not one
+		// the split would produce.
+		{"evaluate-unknown-top-level-field", "POST", "/v1/evaluate",
+			`{"schema_version":1,"workloads":["mcf","gcc"],"configs":[{"name":"reference"}],"options":{},"bogus":1}`},
+		{"evaluate-unknown-inline-config-field", "POST", "/v1/evaluate",
+			`{"schema_version":1,"workloads":["mcf","gcc"],"configs":[{"config":{"Name":"bad","width":4}}],"options":{}}`},
+		{"evaluate-empty-second-workload", "POST", "/v1/evaluate",
+			`{"schema_version":1,"workloads":["mcf",""],"configs":[{"name":"reference"}],"options":{}}`},
+		{"evaluate-trailing-data", "POST", "/v1/evaluate",
+			`{"schema_version":1,"workloads":["mcf","gcc"],"configs":[{"name":"reference"}],"options":{}} {}`},
 	}
 	for _, req := range requests {
 		t.Run(req.name, func(t *testing.T) {

@@ -42,8 +42,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"time"
@@ -220,14 +218,7 @@ func (s *Server) instrumented(next http.Handler) http.Handler {
 // trailing-data rejection, writing the error response itself on failure.
 func decodeRequest[Req any](s *Server, w http.ResponseWriter, r *http.Request) (*Req, bool) {
 	req := new(Req)
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(req); err != nil {
-		s.writeError(w, decodeStatus(err), fmt.Errorf("decode request: %w", err))
-		return nil, false
-	}
-	if err := drainTrailing(dec); err != nil {
+	if err := api.DecodeRequest(http.MaxBytesReader(w, r.Body, s.maxBody), req); err != nil {
 		s.writeError(w, decodeStatus(err), err)
 		return nil, false
 	}
@@ -306,24 +297,6 @@ func decodeStatus(err error) int {
 		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusBadRequest
-}
-
-// drainTrailing rejects bodies with content after the first JSON value,
-// passing body-limit errors through for the 413 mapping.
-func drainTrailing(dec *json.Decoder) error {
-	_, err := dec.Token()
-	switch {
-	case errors.Is(err, io.EOF):
-		return nil
-	case err == nil:
-		return fmt.Errorf("trailing data after request body")
-	default:
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return err
-		}
-		return fmt.Errorf("trailing data after request body")
-	}
 }
 
 // handleProfileGet serves one profile's metadata; unknown names map to 404
