@@ -105,52 +105,40 @@ type SpaceSpec struct {
 // must go through /v1/search, which never materializes them.
 const MaxMaterializedSpace = 1 << 16
 
-// Expand enumerates the configuration family.
+// Expand enumerates the configuration family: every kind resolves to its
+// lazy space, which is then materialized at the stride. Materializing
+// through the same enumeration the lazy (search) path walks keeps the two
+// paths agreeing on configuration names, so results join across endpoints.
 func (s SpaceSpec) Expand() ([]*arch.Config, error) {
 	if s.Stride < 0 {
 		return nil, fmt.Errorf("api: negative space stride %d", s.Stride)
 	}
 	switch s.Kind {
-	case "design":
-		if s.Space != nil {
-			return nil, fmt.Errorf("api: space axes are only valid for the parametric kind, not %q", s.Kind)
-		}
-		return arch.DesignSpaceSample(s.Stride), nil
+	case "design", "parametric":
 	case "dvfs":
 		if s.Stride != 0 || s.Space != nil {
 			return nil, fmt.Errorf("api: stride and space axes are not valid for kind %q", s.Kind)
 		}
-		// Materialize through the same parametric enumeration the lazy
-		// (search) path walks, so the two paths agree on configuration
-		// names and results join across endpoints.
-		sp := arch.DVFSSpace()
-		out := make([]*arch.Config, 0, sp.Size())
-		for _, c := range sp.All() {
-			out = append(out, c)
-		}
-		return out, nil
-	case "parametric":
-		lazy := s
-		lazy.Stride = 0
-		sp, err := lazy.Lazy()
-		if err != nil {
-			return nil, err
-		}
-		stride := s.Stride
-		if stride < 1 {
-			stride = 1
-		}
-		n := sp.Size()
-		if (n+stride-1)/stride > MaxMaterializedSpace {
-			return nil, fmt.Errorf("api: parametric space has %d points (max %d materialized); submit it to /v1/search instead", n, MaxMaterializedSpace)
-		}
-		out := make([]*arch.Config, 0, (n+stride-1)/stride)
-		for i := 0; i < n; i += stride {
-			out = append(out, sp.At(i))
-		}
-		return out, nil
+	default:
+		// Checked before Lazy, which would report stray axes first.
+		return nil, errUnknownSpace(s.Kind)
 	}
-	return nil, fmt.Errorf("api: unknown config space %q (want design, dvfs or parametric)", s.Kind)
+	lazy := s
+	lazy.Stride = 0
+	sp, err := lazy.Lazy()
+	if err != nil {
+		return nil, err
+	}
+	stride := max(s.Stride, 1)
+	n := sp.Size()
+	if (n+stride-1)/stride > MaxMaterializedSpace {
+		return nil, fmt.Errorf("api: parametric space has %d points (max %d materialized); submit it to /v1/search instead", n, MaxMaterializedSpace)
+	}
+	out := make([]*arch.Config, 0, (n+stride-1)/stride)
+	for i := 0; i < n; i += stride {
+		out = append(out, sp.At(i))
+	}
+	return out, nil
 }
 
 // Lazy returns the spec as a parametric space without materializing it —
@@ -177,7 +165,11 @@ func (s SpaceSpec) Lazy() (*arch.Space, error) {
 		}
 		return s.Space, nil
 	}
-	return nil, fmt.Errorf("api: unknown config space %q (want design, dvfs or parametric)", s.Kind)
+	return nil, errUnknownSpace(s.Kind)
+}
+
+func errUnknownSpace(kind string) error {
+	return fmt.Errorf("api: unknown config space %q (want design, dvfs or parametric)", kind)
 }
 
 // ExpandConfigs resolves explicit specs and appends the optional space

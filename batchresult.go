@@ -11,11 +11,11 @@ import (
 )
 
 // BatchResult is the caller-owned result block of the batched prediction
-// path: struct-of-arrays columns (one flat slice per quantity, held by the
-// embedded core block) plus the facade's per-config state — resolved
-// configurations, per-config validation errors and power stacks. Grown once
-// by PredictBatchInto and reused across calls, so steady-state batched
-// prediction allocates nothing.
+// path: the kernel's result rows (held by the embedded core block) plus the
+// facade's per-config state — resolved configurations, per-config
+// validation errors and power stacks. Grown once by PredictBatchInto and
+// reused across calls, so steady-state batched prediction allocates
+// nothing.
 //
 // A BatchResult owns its memory: accessors that return pointers or slices
 // alias buffers that the next PredictBatchInto (or Put back to a pool)
@@ -38,9 +38,8 @@ type BatchResult struct {
 	power  []power.Stack
 	core   core.BatchResult
 
-	// row and fres are the reused gather rows behind fill; see Result for
-	// the copying accessor.
-	row  core.Result
+	// fres is the reused facade row behind fill; see Result for the
+	// copying accessor.
 	fres Result
 }
 
@@ -65,24 +64,24 @@ func (br *BatchResult) Err(i int) error { return br.errs[i] }
 // was evaluated before any cancellation.
 func (br *BatchResult) Ok(i int) bool { return br.errs[i] == nil && br.core.Valid(i) }
 
-// fill gathers slot i into the reused result row, aliasing the batch's
+// fill lowers slot i into the reused facade row, aliasing the batch's
 // MicroCPI storage. The pointer is valid until the next fill on br.
 func (br *BatchResult) fill(i int) *Result {
-	br.core.CopyResult(i, &br.row)
+	row := br.core.Row(i)
 	br.fres = Result{
-		Config:         br.row.Config,
-		Workload:       br.row.Workload,
+		Config:         row.Config,
+		Workload:       row.Workload,
 		FrequencyGHz:   br.resolved[i].FrequencyGHz,
-		Cycles:         br.row.Cycles,
-		Uops:           br.row.Uops,
-		Instructions:   br.row.Instructions,
-		Stack:          br.row.Stack,
-		Activity:       br.row.Activity,
+		Cycles:         row.Cycles,
+		Uops:           row.Uops,
+		Instructions:   row.Instructions,
+		Stack:          row.Stack,
+		Activity:       row.Activity,
 		Power:          br.power[i],
-		Deff:           br.row.Deff,
-		MLP:            br.row.MLP,
-		BranchMissRate: br.row.BranchMissRate,
-		MicroCPI:       br.row.MicroCPI,
+		Deff:           row.Deff,
+		MLP:            row.MLP,
+		BranchMissRate: row.BranchMissRate,
+		MicroCPI:       row.MicroCPI,
 	}
 	return &br.fres
 }
@@ -95,8 +94,8 @@ func (br *BatchResult) Result(i int) *Result {
 		return nil
 	}
 	out := *br.fill(i)
-	out.MicroCPI = make([]float64, len(br.row.MicroCPI))
-	copy(out.MicroCPI, br.row.MicroCPI)
+	out.MicroCPI = make([]float64, len(out.MicroCPI))
+	copy(out.MicroCPI, br.fres.MicroCPI)
 	return &out
 }
 
@@ -108,7 +107,7 @@ func (br *BatchResult) apiResult(i int, withMicroCPI bool) *api.Result {
 }
 
 // release drops the references a reused BatchResult pins — configurations,
-// errors, name strings — keeping the numeric columns' capacity.
+// errors, name strings — keeping the buffers' capacity.
 func (br *BatchResult) release() {
 	clear(br.resolved[:br.dirty])
 	clear(br.copies[:min(br.dirty, cap(br.copies))])
@@ -123,8 +122,7 @@ func (br *BatchResult) release() {
 var batchResultPool = sync.Pool{New: func() any { return new(BatchResult) }}
 
 // maxPooledRows bounds the row capacity a BatchResult may carry back into
-// the pool: one huge sweep must not pin its columns for the process
-// lifetime.
+// the pool: one huge sweep must not pin its rows for the process lifetime.
 const maxPooledRows = 1 << 15
 
 func getBatchResult() *BatchResult { return batchResultPool.Get().(*BatchResult) }
@@ -185,7 +183,7 @@ func (pd *Predictor) finishRange(br *BatchResult, lo, hi int) {
 		if br.errs[i] != nil || !br.core.Valid(i) {
 			continue
 		}
-		br.power[i] = power.Estimate(br.resolved[i], br.core.ActivityAt(i))
+		br.power[i] = power.Estimate(br.resolved[i], &br.core.Row(i).Activity)
 	}
 }
 

@@ -286,35 +286,15 @@ func scaleWindow(c *Config, rob int) {
 // DesignSpace enumerates the 3^5 = 243-configuration space of Table 6.3:
 // pipeline width {2,4,6} × ROB {64,128,256} × L2 {128,256,512 KB} ×
 // L3 {2,4,8 MB} × frequency {2.0, 2.66, 3.33 GHz} (with voltage scaled).
+// It materializes TableSpace, giving each configuration its own port map so
+// every returned config is fully independent.
 func DesignSpace() []*Config {
-	widths := []int{2, 4, 6}
-	robs := []int{64, 128, 256}
-	l2s := []int64{128 << 10, 256 << 10, 512 << 10}
-	l3s := []int64{2 << 20, 4 << 20, 8 << 20}
-	freqs := []float64{2.0, 2.66, 3.33}
-	volts := []float64{1.0, 1.1, 1.25}
-
-	var out []*Config
-	for _, w := range widths {
-		for _, rob := range robs {
-			for _, l2 := range l2s {
-				for _, l3 := range l3s {
-					for fi, f := range freqs {
-						c := Reference()
-						c.Name = fmt.Sprintf("w%d-rob%d-l2_%dk-l3_%dm-f%.2f",
-							w, rob, l2>>10, l3>>20, f)
-						c.DispatchWidth = w
-						c.Ports = portsForWidth(w)
-						scaleWindow(c, rob)
-						c.L2.SizeBytes = l2
-						c.L3.SizeBytes = l3
-						c.FrequencyGHz = f
-						c.VoltageV = volts[fi]
-						out = append(out, c)
-					}
-				}
-			}
-		}
+	sp := TableSpace()
+	out := make([]*Config, sp.Size())
+	for i := range out {
+		c := sp.At(i)
+		c.Ports = portsForWidth(c.DispatchWidth)
+		out[i] = c
 	}
 	return out
 }

@@ -6,7 +6,6 @@ import (
 	"mipp/internal/cache"
 	"mipp/internal/config"
 	"mipp/internal/mlp"
-	"mipp/internal/perf"
 	"mipp/internal/prefetch"
 	"mipp/internal/trace"
 )
@@ -20,47 +19,26 @@ import (
 // still catches an already-cancelled context before any work happens.
 const CtxCheckStride = 64
 
-// BatchResult is a struct-of-arrays result block: one flat, reusable slice
-// per quantity, grown once by PrepareBatch and reused across generations so
-// the steady-state batched path allocates nothing. Per-config MicroCPI rows
-// live config-major in one backing array (row i is
-// microCPI[i*nmicros:(i+1)*nmicros]), so a row is sliceable without copying
-// and a whole generation is one allocation no matter how many configs it
-// holds.
+// BatchResult is a reusable block of result rows: one Result per
+// configuration plus a valid flag, grown once by PrepareBatch and reused
+// across generations so the steady-state batched path allocates nothing.
+// Every row's MicroCPI aliases its own run of one config-major backing
+// array, so a whole generation is three allocations no matter how many
+// configs it holds, and the kernel writes each row in place.
 //
-// A BatchResult owns its memory: rows written by EvaluateRangeInto are
-// plain columns, and CopyResult materializes independent copies, so
-// callers that publish results (NDJSON streams, search updates) copy before
-// the buffers are reused. A BatchResult is not safe for concurrent writers
-// on overlapping row ranges; disjoint ranges (one per sweep worker) are
-// race-free.
+// A BatchResult owns its memory: rows alias buffers the next PrepareBatch
+// overwrites, so callers that publish results (NDJSON streams, search
+// updates) copy before the buffers are reused. A BatchResult is not safe
+// for concurrent writers on overlapping row ranges; disjoint ranges (one
+// per sweep worker) are race-free.
 type BatchResult struct {
-	n       int
-	nmicros int
-	// dirty is the most rows any PrepareBatch sized br for since the last
-	// Release: the prefix of names that may still pin strings.
-	dirty int
-
-	// Header quantities constant across the batch (profile-level).
-	workload     string
-	uops         float64
-	instructions float64
-
-	// Per-config columns, all length n.
-	names     []string
-	valid     []bool
-	cycles    []float64
-	deff      []float64
-	mlpAvg    []float64
-	bmr       []float64
-	llcMisses []float64
-	dramStall []float64
-	stack     [perf.NumComponents][]float64
-	limiter   [][4]float64
-	activity  []perf.Activity
-
-	// microCPI is the config-major len(micros)×n backing array.
+	rows  []Result
+	valid []bool
+	// microCPI is the config-major backing array of the rows' MicroCPI.
 	microCPI []float64
+	// dirty is the most rows any PrepareBatch sized br for since the last
+	// Release: the prefix of rows that may still pin strings.
+	dirty int
 }
 
 // grow returns s resized to n, reusing its backing array when it is large
@@ -75,108 +53,40 @@ func grow[T any](s []T, n int) []T {
 }
 
 // PrepareBatch sizes br for n configurations evaluated by this kernel,
-// growing each column only when the previous capacity is too small.
+// growing each buffer only when the previous capacity is too small.
 func (c *Compiled) PrepareBatch(br *BatchResult, n int) {
-	p := c.model.Profile
-	br.n = n
+	nm := len(c.micros)
 	br.dirty = max(br.dirty, n)
-	br.nmicros = len(c.micros)
-	br.workload = p.Workload
-	br.uops = float64(p.TotalUops)
-	br.instructions = float64(p.TotalInstrs)
-	br.names = grow(br.names, n)
+	br.rows = grow(br.rows, n)
 	br.valid = grow(br.valid, n)
-	br.cycles = grow(br.cycles, n)
-	br.deff = grow(br.deff, n)
-	br.mlpAvg = grow(br.mlpAvg, n)
-	br.bmr = grow(br.bmr, n)
-	br.llcMisses = grow(br.llcMisses, n)
-	br.dramStall = grow(br.dramStall, n)
-	for ci := range br.stack {
-		br.stack[ci] = grow(br.stack[ci], n)
+	br.microCPI = grow(br.microCPI, n*nm)
+	for i := range br.rows {
+		br.rows[i].MicroCPI = br.microCPI[i*nm : (i+1)*nm : (i+1)*nm]
 	}
-	br.limiter = grow(br.limiter, n)
-	br.activity = grow(br.activity, n)
-	br.microCPI = grow(br.microCPI, n*br.nmicros)
 }
 
 // Len returns the number of configuration slots in the batch.
-func (br *BatchResult) Len() int { return br.n }
-
-// NumMicros returns the per-config MicroCPI row width.
-func (br *BatchResult) NumMicros() int { return br.nmicros }
+func (br *BatchResult) Len() int { return len(br.rows) }
 
 // Valid reports whether slot i holds an evaluated result (false for nil
 // configurations and slots past a cancellation point).
 func (br *BatchResult) Valid(i int) bool { return br.valid[i] }
 
-// CyclesAt returns the predicted cycle count of slot i.
-func (br *BatchResult) CyclesAt(i int) float64 { return br.cycles[i] }
-
-// ActivityAt returns the activity factors of slot i, pointing into the
-// batch's column (valid until the next PrepareBatch on br).
-func (br *BatchResult) ActivityAt(i int) *perf.Activity { return &br.activity[i] }
-
-// MicroCPIRow returns slot i's per-micro CPI row, aliasing the batch's
-// backing array (valid until the next PrepareBatch on br).
-func (br *BatchResult) MicroCPIRow(i int) []float64 {
-	return br.microCPI[i*br.nmicros : (i+1)*br.nmicros]
-}
-
-// CopyResult gathers slot i into res, reusing res.MicroCPI's capacity when
-// it is large enough. Every field of res is (re)assigned.
-func (br *BatchResult) CopyResult(i int, res *Result) {
-	res.Config = br.names[i]
-	res.Workload = br.workload
-	res.Cycles = br.cycles[i]
-	res.Uops = br.uops
-	res.Instructions = br.instructions
-	for ci := range res.Stack.Cycles {
-		res.Stack.Cycles[ci] = br.stack[ci][i]
-	}
-	res.Activity = br.activity[i]
-	res.Deff = br.deff[i]
-	res.MLP = br.mlpAvg[i]
-	res.BranchMissRate = br.bmr[i]
-	res.LLCLoadMisses = br.llcMisses[i]
-	res.DRAMStallPerMiss = br.dramStall[i]
-	if res.MicroCPI == nil || cap(res.MicroCPI) < br.nmicros {
-		res.MicroCPI = make([]float64, br.nmicros)
-	} else {
-		res.MicroCPI = res.MicroCPI[:br.nmicros]
-	}
-	copy(res.MicroCPI, br.MicroCPIRow(i))
-	res.Limiter = br.limiter[i]
-}
-
-// setRow scatters one evaluated result into slot i's columns.
-//
-//mipp:hotpath
-func (br *BatchResult) setRow(i int, res *Result) {
-	br.names[i] = res.Config
-	br.valid[i] = true
-	br.cycles[i] = res.Cycles
-	br.deff[i] = res.Deff
-	br.mlpAvg[i] = res.MLP
-	br.bmr[i] = res.BranchMissRate
-	br.llcMisses[i] = res.LLCLoadMisses
-	br.dramStall[i] = res.DRAMStallPerMiss
-	for ci := range res.Stack.Cycles {
-		br.stack[ci][i] = res.Stack.Cycles[ci]
-	}
-	br.limiter[i] = res.Limiter
-	br.activity[i] = res.Activity
-	copy(br.MicroCPIRow(i), res.MicroCPI)
-}
+// Row returns slot i's result in place. Its MicroCPI aliases the batch's
+// backing array; both stay valid until the next PrepareBatch on br.
+func (br *BatchResult) Row(i int) *Result { return &br.rows[i] }
 
 // Release drops the references a reused BatchResult pins (configuration
-// name strings) without freeing the numeric columns, so a pooled batch
-// keeps its capacity but no foreign memory. It clears only the rows written
-// since the last Release, so releasing a large pooled batch after a small
-// use costs the small use.
+// name strings) without freeing its buffers, so a pooled batch keeps its
+// capacity but no foreign memory. It clears only the rows written since the
+// last Release, so releasing a large pooled batch after a small use costs
+// the small use.
 func (br *BatchResult) Release() {
-	clear(br.names[:br.dirty])
-	br.n, br.dirty = 0, 0
+	written := br.rows[:br.dirty]
+	for i := range written {
+		written[i].Config = ""
+	}
+	br.rows, br.dirty = br.rows[:0], 0
 }
 
 // nonClockKey is the comparable projection of a configuration onto the
@@ -248,11 +158,56 @@ type memColKey struct {
 	missRate   float64
 }
 
-// maxMemCacheEntries bounds the MicroMem columns a warm Batch retains;
-// realistic grid sweeps touch well under this many (ROB, L3, clock,
-// prefetch) combinations. At the bound the cache is flushed whole onto the
-// free list — amortized O(1), never different results.
-const maxMemCacheEntries = 256
+// maxColCacheEntries bounds each of a warm Batch's column caches;
+// realistic grid sweeps touch well under this many geometries, ROB sizes or
+// (ROB, L3, clock, prefetch) combinations. At the bound a cache is flushed
+// whole onto its free list — amortized O(1), never different results.
+const maxColCacheEntries = 256
+
+// colCache is one of a kernel's bounded per-micro column caches: a map from
+// the config slice a stage reads to that stage's per-micro column, with the
+// columns of a flushed cache recycled through a free list.
+type colCache[K comparable, T any] struct {
+	cols map[K][]T
+	free [][]T
+}
+
+// get returns the column cached under k.
+//
+//mipp:hotpath
+func (cc *colCache[K, T]) get(k K) ([]T, bool) {
+	col, ok := cc.cols[k]
+	return col, ok
+}
+
+// add stores and returns a column of length n under k, for the caller to
+// fill completely before reading it: a recycled column when one is large
+// enough, else a new one.
+func (cc *colCache[K, T]) add(k K, n int) []T {
+	if cc.cols == nil {
+		cc.cols = make(map[K][]T, 16)
+	} else if len(cc.cols) >= maxColCacheEntries {
+		for k2, col := range cc.cols {
+			// The free list holds interchangeable spare capacity: add's
+			// caller fully overwrites a recycled column before it is read,
+			// so the map-iteration order never reaches a result.
+			//mipp:allow determinism free-list of fungible buffers, contents overwritten before use
+			cc.free = append(cc.free, col)
+			delete(cc.cols, k2)
+		}
+	}
+	var col []T
+	if f := len(cc.free); f > 0 {
+		col = cc.free[f-1]
+		cc.free = cc.free[:f-1]
+	}
+	if cap(col) < n {
+		col = make([]T, n)
+	}
+	col = col[:n]
+	cc.cols[k] = col
+	return col
+}
 
 // Batch is the evaluation kernel: single-goroutine, with persistent scratch
 // buffers, lookup caches and the DVFS fast-path state. Every entry point
@@ -272,30 +227,29 @@ type Batch struct {
 	// content comparison (Ports is a slice and not part of nonClockKey).
 	portBuf  []trace.Class
 	portLens []int
+	// invariantRuns counts clock-invariant stage runs, so tests can see
+	// whether the DVFS fast path skipped them.
+	invariantRuns int
 
 	ge       *geomEntry
 	missRate float64
 
-	// memCache holds one MicroMem column per (ROB, MSHRs, L3, clock,
-	// prefetch, missRate) combination seen by this kernel — see memColKey
-	// for why that key makes columns sweep-lifetime valid; memFree recycles
-	// columns retired by a full-cache flush.
-	memCache map[memColKey][]mlp.MicroMem
-	memFree  [][]mlp.MicroMem
+	// mems holds one MicroMem column per (ROB, MSHRs, L3, clock, prefetch,
+	// missRate) combination seen by this kernel — see memColKey for why
+	// that key makes columns sweep-lifetime valid.
+	mems colCache[memColKey, mlp.MicroMem]
 
 	// Clock-invariant lookup caches local to this single-goroutine kernel.
 	// They serve the values the Compiled memo tables would — geometry per
 	// cache-geometry key, raw per-micro miss-ratio triples per geometry,
-	// per-micro chain interpolations per ROB — without the tables' RWMutex
-	// and map hashing, which together dominate the mixed-axis hot loop.
-	// Values are bit-identical (they come from the same tables on a miss),
-	// so a warm kernel returns byte-for-byte what a cold one would.
+	// per-micro critical-path interpolations per ROB — without the tables'
+	// RWMutex and map hashing, which together dominate the mixed-axis hot
+	// loop. Values are bit-identical (they come from the same tables on a
+	// miss), so a warm kernel returns byte-for-byte what a cold one would.
 	geomKeyCached geomKey
 	geomCached    *geomEntry
-	mrCache       map[geomKey][]float64 // 3 per micro: L1, L2, LLC miss ratio
-	mrFree        [][]float64
-	chainCache    map[int][]float64 // 2 per micro: ABP, CP at that ROB
-	chainFree     [][]float64
+	mrs           colCache[geomKey, float64] // 3 per micro: L1, L2, LLC miss ratio
+	cps           colCache[int, float64]     // 1 per micro: CP at that ROB
 
 	// Port/unit dispatch-bound cache: the bounds depend only on the port
 	// map and FU table, so the handful of distinct back-ends a sweep visits
@@ -305,9 +259,6 @@ type Batch struct {
 	// maps behind one key can never alias.
 	puCache map[puKey]*puEntry
 	puFree  []*puEntry
-
-	// res is the reused gather row for the *Into entry points.
-	res Result
 }
 
 // evaluateInto evaluates cfg into res, taking the DVFS fast path when cfg
@@ -317,6 +268,7 @@ type Batch struct {
 func (b *Batch) evaluateInto(cfg *config.Config, res *Result) {
 	key := makeKey(cfg)
 	if !b.keyValid || key != b.key || !b.samePorts(cfg) {
+		b.invariantRuns++
 		b.ge, b.missRate = b.invariants(cfg)
 		b.key = key
 		b.snapshotPorts(cfg)
@@ -328,15 +280,15 @@ func (b *Batch) evaluateInto(cfg *config.Config, res *Result) {
 // invariants is the kernel's clock-invariant stage: the geometry entry,
 // the branch miss rate, and one microInv per micro-trace in b.scr.invs.
 // The memoized inputs come from the kernel's local caches (geometry entry,
-// miss-ratio triples, chain interpolations), which fall back to the shared
-// locked tables on a miss.
+// miss-ratio triples, critical paths), which fall back to the shared memo
+// tables on a miss.
 //
 //mipp:hotpath
 func (b *Batch) invariants(cfg *config.Config) (*geomEntry, float64) {
 	c := b.c
 	gk := geomKey{cfg.L1D, cfg.L2, cfg.L3, cfg.L1I}
 	if b.geomCached == nil || gk != b.geomKeyCached {
-		b.geomCached = c.geometry(cfg)
+		b.geomCached = c.geoms.Get(gk)
 		b.geomKeyCached = gk
 	}
 	ge := b.geomCached
@@ -354,7 +306,7 @@ func (b *Batch) invariants(cfg *config.Config) (*geomEntry, float64) {
 	scr := &b.scr
 	scr.ensureMicros(len(c.micros))
 	mr := b.missRatios(gk, prm)
-	ch := b.chains(cfg.ROB)
+	cps := b.criticalPaths(cfg.ROB)
 	full := c.opts.DispatchModel == DispatchFull
 	var pu []float64
 	if full {
@@ -370,7 +322,7 @@ func (b *Batch) invariants(cfg *config.Config) (*geomEntry, float64) {
 			portD, unitD = pu[2*mi], pu[2*mi+1]
 		}
 		c.microInvariant(mi, cfg, ge, &prm, missRate,
-			mr[3*mi], mr[3*mi+1], mr[3*mi+2], ch[2*mi], ch[2*mi+1], portD, unitD, &scr.invs[mi])
+			mr[3*mi], mr[3*mi+1], mr[3*mi+2], cps[mi], portD, unitD, &scr.invs[mi])
 	}
 	return ge, missRate
 }
@@ -396,7 +348,7 @@ type puEntry struct {
 
 // maxPuCacheEntries bounds the distinct back-ends a warm Batch retains —
 // sweeps touch one per dispatch width, far below this. Flushed whole onto
-// the free list at the bound, like the other batch caches.
+// the free list at the bound, like the column caches.
 const maxPuCacheEntries = 64
 
 // portUnits returns the per-micro [portD, unitD] dispatch bounds for cfg's
@@ -453,21 +405,14 @@ func (b *Batch) portUnits(cfg *config.Config) []float64 {
 }
 
 // missRatios returns the per-micro [L1, L2, LLC] raw load miss ratios for
-// one cache geometry, cached locally. The cache is bounded like memCache:
-// past maxMemCacheEntries geometries it is flushed whole (the columns are
-// recycled), which keeps a long mixed sweep amortized-O(1) per config.
+// one cache geometry, cached locally.
 //
 //mipp:hotpath
 func (b *Batch) missRatios(gk geomKey, prm mlp.Params) []float64 {
-	if col, ok := b.mrCache[gk]; ok {
+	if col, ok := b.mrs.get(gk); ok {
 		return col
 	}
-	if b.mrCache == nil {
-		b.mrCache = make(map[geomKey][]float64, maxMemCacheEntries)
-	} else if len(b.mrCache) >= maxMemCacheEntries {
-		flushFloatCache(b.mrCache, &b.mrFree)
-	}
-	col := takeFloats(&b.mrFree, 3*len(b.c.micros))
+	col := b.mrs.add(gk, 3*len(b.c.micros))
 	for mi := range b.c.micros {
 		if b.c.micros[mi].Len == 0 {
 			col[3*mi], col[3*mi+1], col[3*mi+2] = 0, 0, 0
@@ -477,60 +422,25 @@ func (b *Batch) missRatios(gk geomKey, prm mlp.Params) []float64 {
 		col[3*mi+1] = b.c.missRatio(mi, prm.L2Lines)
 		col[3*mi+2] = b.c.missRatio(mi, prm.LLCLines)
 	}
-	b.mrCache[gk] = col
 	return col
 }
 
-// chains returns the per-micro [ABP, CP] chain interpolations at one ROB
-// size, cached locally with the same bound-and-flush policy as missRatios.
+// criticalPaths returns the per-micro critical-path (CP) chain
+// interpolations at one ROB size, cached locally.
 //
 //mipp:hotpath
-func (b *Batch) chains(rob int) []float64 {
-	if col, ok := b.chainCache[rob]; ok {
+func (b *Batch) criticalPaths(rob int) []float64 {
+	if col, ok := b.cps.get(rob); ok {
 		return col
 	}
-	if b.chainCache == nil {
-		b.chainCache = make(map[int][]float64, maxMemCacheEntries)
-	} else if len(b.chainCache) >= maxMemCacheEntries {
-		flushFloatCache(b.chainCache, &b.chainFree)
-	}
-	col := takeFloats(&b.chainFree, 2*len(b.c.micros))
+	col := b.cps.add(rob, len(b.c.micros))
 	for mi := range b.c.micros {
-		if b.c.micros[mi].Len == 0 {
-			col[2*mi], col[2*mi+1] = 0, 0
-			continue
+		col[mi] = 0
+		if b.c.micros[mi].Len > 0 {
+			_, _, col[mi] = b.c.chainAt(mi, rob)
 		}
-		_, abp, cp := b.c.chainAt(mi, rob)
-		col[2*mi] = abp
-		col[2*mi+1] = cp
 	}
-	b.chainCache[rob] = col
 	return col
-}
-
-// flushFloatCache retires every column of a full lookup cache onto its free
-// list so the next fills recycle them.
-func flushFloatCache[K comparable](cache map[K][]float64, free *[][]float64) {
-	for k, col := range cache {
-		// The free list holds interchangeable spare capacity: takeFloats'
-		// caller fully overwrites a recycled column before it is read, so
-		// the map-iteration order never reaches a result.
-		//mipp:allow determinism free-list of fungible buffers, contents overwritten before use
-		*free = append(*free, col)
-		delete(cache, k)
-	}
-}
-
-// takeFloats recycles a retired float column or allocates one of length n.
-func takeFloats(free *[][]float64, n int) []float64 {
-	if f := len(*free); f > 0 {
-		col := (*free)[f-1]
-		*free = (*free)[:f-1]
-		if cap(col) >= n {
-			return col[:n]
-		}
-	}
-	return make([]float64, n)
 }
 
 // samePorts reports whether cfg's port map matches the snapshot taken at
@@ -599,39 +509,12 @@ func (b *Batch) memsFor(cfg *config.Config) []mlp.MicroMem {
 		prefetcher: cfg.Prefetcher,
 		missRate:   b.missRate,
 	}
-	if col, ok := b.memCache[k]; ok {
+	if col, ok := b.mems.get(k); ok {
 		return col
 	}
-	if b.memCache == nil {
-		b.memCache = make(map[memColKey][]mlp.MicroMem, 16)
-	} else if len(b.memCache) >= maxMemCacheEntries {
-		for kk, col := range b.memCache {
-			// The free list holds interchangeable spare capacity:
-			// takeColumn's caller fully overwrites a recycled column before
-			// it is read, so the map-iteration order never reaches a result.
-			//mipp:allow determinism free-list of fungible buffers, contents overwritten before use
-			b.memFree = append(b.memFree, col)
-			delete(b.memCache, kk)
-		}
-	}
-	col := b.takeColumn()
+	col := b.mems.add(k, len(b.scr.invs))
 	b.c.computeMems(cfg, b.scr.invs, col)
-	b.memCache[k] = col
 	return col
-}
-
-// takeColumn recycles a retired MicroMem column or allocates one sized for
-// the current micro-trace count.
-func (b *Batch) takeColumn() []mlp.MicroMem {
-	n := len(b.scr.invs)
-	if f := len(b.memFree); f > 0 {
-		col := b.memFree[f-1]
-		b.memFree = b.memFree[:f-1]
-		if cap(col) >= n {
-			return col[:n]
-		}
-	}
-	return make([]mlp.MicroMem, n)
 }
 
 // EvaluateRangeInto evaluates cfgs into br's slots [off, off+len(cfgs)),
@@ -645,9 +528,6 @@ func (b *Batch) takeColumn() []mlp.MicroMem {
 //mipp:hotpath
 func (c *Compiled) EvaluateRangeInto(ctx context.Context, cfgs []*config.Config, br *BatchResult, off int) error {
 	b := c.batches.Get().(*Batch)
-	if cap(b.res.MicroCPI) < len(c.micros) {
-		b.res.MicroCPI = make([]float64, 0, len(c.micros))
-	}
 	var err error
 	for k, cfg := range cfgs {
 		if ctx != nil && k%CtxCheckStride == 0 {
@@ -658,8 +538,8 @@ func (c *Compiled) EvaluateRangeInto(ctx context.Context, cfgs []*config.Config,
 		if cfg == nil {
 			continue
 		}
-		b.evaluateInto(cfg, &b.res)
-		br.setRow(off+k, &b.res)
+		b.evaluateInto(cfg, &br.rows[off+k])
+		br.valid[off+k] = true
 	}
 	c.putBatch(b)
 	return err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mipp/internal/config"
@@ -25,9 +26,9 @@ func evaluateOn(b *Batch, cfg *config.Config) *Result {
 
 // rowResult materializes slot i of br as a standalone *Result.
 func rowResult(br *BatchResult, i int) *Result {
-	res := &Result{}
-	br.CopyResult(i, res)
-	return res
+	res := *br.Row(i)
+	res.MicroCPI = slices.Clone(res.MicroCPI)
+	return &res
 }
 
 // evaluateBatch runs cfgs through the batched entry point and materializes
@@ -46,7 +47,7 @@ func evaluateBatch(ctx context.Context, c *Compiled, cfgs []*config.Config) ([]*
 }
 
 // TestEvaluateBatchIntoGolden is the byte-identity guarantee of the
-// struct-of-arrays kernel: over the full 243-point reference design space
+// batched kernel: over the full 243-point reference design space
 // and the option variants, the batched rows, the pooled single-config
 // Evaluate and a cold kernel per configuration marshal to exactly the same
 // JSON. The BatchResult is reused across option variants (distinct compiled
@@ -97,10 +98,9 @@ func TestEvaluateBatchIntoGolden(t *testing.T) {
 }
 
 // TestDVFSFastPathGolden pins the DVFS fast path: over a clock-only sweep a
-// warm Batch must (a) never touch the geometry or miss-ratio memos again —
-// the invariant stages are skipped entirely — and (b) stay deeply equal to
-// a cold kernel, including across a mid-sweep key change (which must
-// invalidate the cached per-clock columns) and back.
+// warm Batch must (a) never run the clock-invariant stage again and (b)
+// stay deeply equal to a cold kernel, including across a mid-sweep key
+// change (which must invalidate the cached per-clock columns) and back.
 func TestDVFSFastPathGolden(t *testing.T) {
 	m := modelFor(t, "soplex", 60_000)
 	c := m.Compile(DefaultOptions())
@@ -115,19 +115,13 @@ func TestDVFSFastPathGolden(t *testing.T) {
 
 	b := &Batch{c: c}
 	evaluateOn(b, clockOnly[0]) // prime the invariants for the sweep's key
-	before := c.Stats()
+	before := b.invariantRuns
 	fast := make([]*Result, len(clockOnly))
 	for i, cfg := range clockOnly {
 		fast[i] = evaluateOn(b, cfg)
 	}
-	after := c.Stats()
-	if after.GeometryLookups != before.GeometryLookups {
-		t.Errorf("clock-only sweep did %d geometry lookups on the fast path, want 0",
-			after.GeometryLookups-before.GeometryLookups)
-	}
-	if after.MissRatioLookups != before.MissRatioLookups {
-		t.Errorf("clock-only sweep did %d miss-ratio lookups on the fast path, want 0",
-			after.MissRatioLookups-before.MissRatioLookups)
+	if runs := b.invariantRuns - before; runs != 0 {
+		t.Errorf("clock-only sweep ran the invariant stage %d times, want 0", runs)
 	}
 	for i, cfg := range clockOnly {
 		if cold := coldEvaluate(c, cfg); !reflect.DeepEqual(cold, fast[i]) {
@@ -195,9 +189,9 @@ func TestBatchResultReleaseClearsEveryWrittenRow(t *testing.T) {
 	}
 	c.PrepareBatch(&br, 5)
 	br.Release()
-	for i, name := range br.names[:cap(br.names)] {
-		if name != "" {
-			t.Fatalf("row %d still pins %q after Release", i, name)
+	for i, row := range br.rows[:cap(br.rows)] {
+		if row.Config != "" {
+			t.Fatalf("row %d still pins %q after Release", i, row.Config)
 		}
 	}
 }

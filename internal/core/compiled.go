@@ -3,10 +3,10 @@ package core
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"mipp/internal/cache"
 	"mipp/internal/config"
+	"mipp/internal/memo"
 	"mipp/internal/mlp"
 	"mipp/internal/perf"
 	"mipp/internal/profiler"
@@ -54,17 +54,13 @@ type Compiled struct {
 	// factors.
 	mix [trace.NumClasses]float64
 
-	mu       sync.RWMutex
-	geoms    map[geomKey]*geomEntry
-	microMR  map[microLinesKey]float64
-	chains   map[microROBKey][3]float64
-	branches map[branchKey][2]float64
-	loadDeps map[int]*stats.Histogram
-
-	geomLookups  atomic.Uint64
-	geomComputes atomic.Uint64
-	mrLookups    atomic.Uint64
-	mrComputes   atomic.Uint64
+	geoms    *memo.Table[geomKey, *geomEntry]
+	microMR  *memo.Table[microLinesKey, float64]
+	chains   *memo.Table[microROBKey, [3]float64]
+	branches *memo.Table[branchKey, [2]float64]
+	// loadDeps is keyed by profiled-ROB index, so its key space is the
+	// profile's handful of ROB sizes and the bound never binds.
+	loadDeps *memo.Table[int, *stats.Histogram]
 
 	// batches pools warm evaluation kernels — scratch buffers, lookup
 	// caches and the DVFS fast-path state — for every evaluation entry
@@ -109,7 +105,7 @@ type microROBKey struct {
 
 // branchKey carries every input the branch-resolution fixpoint reads: the
 // micro-trace (its length and chain profile), the window and width, the
-// average latency and the misprediction count.
+// average latency and the misprediction count (always positive).
 type branchKey struct {
 	micro      int
 	rob, width int
@@ -134,12 +130,17 @@ func newCompiled(m *Model, opts Options) *Compiled {
 		curves:     curves,
 		prm:        mlp.Params{LoadFrac: p.LoadFrac(), Mode: opts.MLPMode},
 		mix:        p.Mix(),
-		geoms:      make(map[geomKey]*geomEntry),
-		microMR:    make(map[microLinesKey]float64),
-		chains:     make(map[microROBKey][3]float64),
-		branches:   make(map[branchKey][2]float64),
-		loadDeps:   make(map[int]*stats.Histogram),
 	}
+	c.geoms = memo.New(maxGeomEntries, c.predictGeometry)
+	c.microMR = memo.New(maxMemoEntries, func(k microLinesKey) float64 {
+		return statstack.MissRatioForMicro(curves.Curve, micros[k.micro], k.lines)
+	})
+	c.chains = memo.New(maxMemoEntries, func(k microROBKey) [3]float64 {
+		ap, abp, cp := micros[k.micro].Chains.At(k.rob)
+		return [3]float64{ap, abp, cp}
+	})
+	c.branches = memo.New(maxMemoEntries, c.branchFixpoint)
+	c.loadDeps = memo.New(maxMemoEntries, p.LoadDepHistAt)
 	for i, micro := range micros {
 		c.microMixes[i] = micro.Mix()
 		c.mcs[i] = mlp.Compile(p, micro, curves.Curve)
@@ -148,22 +149,15 @@ func newCompiled(m *Model, opts Options) *Compiled {
 	return c
 }
 
-// CompiledStats counts the work the compile-phase memo tables absorbed.
-// Lookups minus computes is the number of cache hits. Under concurrent
-// evaluation two goroutines may race to fill the same entry, so computes is
-// an upper bound on distinct keys; single-goroutine use counts exactly.
-// Every evaluation runs on a Batch kernel, which consults its own lock-free
-// caches first and reaches these tables only on a batch-cache miss, so the
-// lookup counters count batch-cache misses, not evaluations (computes stay
-// exact).
+// CompiledStats counts the work the compile-phase memo tables computed.
+// Under concurrent evaluation two goroutines may race to fill the same
+// entry, so each count is an upper bound on distinct keys; single-goroutine
+// use counts exactly.
 type CompiledStats struct {
-	// GeometryLookups and StatStackPredicts count per-config geometry
-	// resolutions and the StatStack predictions actually computed.
-	GeometryLookups   uint64
+	// StatStackPredicts counts the per-geometry StatStack predictions.
 	StatStackPredicts uint64
-	// MissRatioLookups and MissRatioComputes count per-micro miss-ratio
-	// queries against the reuse curve.
-	MissRatioLookups  uint64
+	// MissRatioComputes counts per-micro miss-ratio queries against the
+	// reuse curve.
 	MissRatioComputes uint64
 	// StreamBuilds and MLPComputes aggregate the per-micro MLP caches:
 	// virtual-stream constructions and full MLP-model evaluations.
@@ -174,10 +168,8 @@ type CompiledStats struct {
 // Stats snapshots the memo-table counters.
 func (c *Compiled) Stats() CompiledStats {
 	s := CompiledStats{
-		GeometryLookups:   c.geomLookups.Load(),
-		StatStackPredicts: c.geomComputes.Load(),
-		MissRatioLookups:  c.mrLookups.Load(),
-		MissRatioComputes: c.mrComputes.Load(),
+		StatStackPredicts: c.geoms.Computes(),
+		MissRatioComputes: c.microMR.Computes(),
 	}
 	for _, mc := range c.mcs {
 		b, e := mc.Stats()
@@ -187,31 +179,14 @@ func (c *Compiled) Stats() CompiledStats {
 	return s
 }
 
-// geometry returns the memoized StatStack prediction for the
-// configuration's cache geometry, computing it on first use.
-//
-//mipp:hotpath
-func (c *Compiled) geometry(cfg *config.Config) *geomEntry {
-	c.geomLookups.Add(1)
-	key := geomKey{cfg.L1D, cfg.L2, cfg.L3, cfg.L1I}
-	c.mu.RLock()
-	e, ok := c.geoms[key]
-	c.mu.RUnlock()
-	if ok {
-		return e
-	}
-	c.geomComputes.Add(1)
-	e = &geomEntry{pred: c.curves.Predict(cfg.CacheLevels(), cfg.L1I)}
+// predictGeometry runs StatStack for one cache geometry.
+func (c *Compiled) predictGeometry(k geomKey) *geomEntry {
+	e := &geomEntry{pred: c.curves.Predict([]cache.Config{k.l1d, k.l2, k.l3}, k.l1i)}
 	// Global store miss ratio for bus contention (Eq 4.6).
 	llcStats := e.pred.Levels[len(e.pred.Levels)-1]
 	if p := c.model.Profile; p.TotalUops > 0 {
 		e.storeMissPerUop = llcStats.StoreMisses / float64(p.TotalUops)
 	}
-	c.mu.Lock()
-	if len(c.geoms) < maxGeomEntries {
-		c.geoms[key] = e
-	}
-	c.mu.Unlock()
 	return e
 }
 
@@ -220,65 +195,24 @@ func (c *Compiled) geometry(cfg *config.Config) *geomEntry {
 //
 //mipp:hotpath
 func (c *Compiled) missRatio(mi int, lines float64) float64 {
-	c.mrLookups.Add(1)
-	key := microLinesKey{mi, lines}
-	c.mu.RLock()
-	v, ok := c.microMR[key]
-	c.mu.RUnlock()
-	if ok {
-		return v
-	}
-	c.mrComputes.Add(1)
-	v = statstack.MissRatioForMicro(c.curves.Curve, c.micros[mi], lines)
-	c.mu.Lock()
-	if len(c.microMR) < maxMemoEntries {
-		c.microMR[key] = v
-	}
-	c.mu.Unlock()
-	return v
+	return c.microMR.Get(microLinesKey{mi, lines})
 }
 
-// chainAt memoizes the logarithmic chain-profile interpolation (AP, ABP,
-// CP) of one micro-trace at one window size. It is on the hot path twice:
-// once per (micro, config) for the dependence limit, and once per iteration
-// of the branch-resolution fixpoint.
+// chainAt returns the memoized logarithmic chain-profile interpolation (AP,
+// ABP, CP) of one micro-trace at one window size. It is on the hot path
+// twice: once per (micro, config) for the dependence limit, and once per
+// iteration of the branch-resolution fixpoint.
 //
 //mipp:hotpath
 func (c *Compiled) chainAt(mi, rob int) (ap, abp, cp float64) {
-	key := microROBKey{mi, rob}
-	c.mu.RLock()
-	v, ok := c.chains[key]
-	c.mu.RUnlock()
-	if ok {
-		return v[0], v[1], v[2]
-	}
-	ap, abp, cp = c.micros[mi].Chains.At(rob)
-	c.mu.Lock()
-	if len(c.chains) < maxMemoEntries {
-		c.chains[key] = [3]float64{ap, abp, cp}
-	}
-	c.mu.Unlock()
-	return ap, abp, cp
+	v := c.chains.Get(microROBKey{mi, rob})
+	return v[0], v[1], v[2]
 }
 
-// loadDepHist memoizes the profile-level merged inter-load dependence
-// histogram, keyed by the profiled ROB size the window quantizes to.
+// loadDepHist returns the memoized profile-level merged inter-load
+// dependence histogram of the profiled ROB size the window quantizes to.
 func (c *Compiled) loadDepHist(rob int) *stats.Histogram {
-	idx := c.model.Profile.Opts.ROBIndexFor(rob)
-	if idx < 0 {
-		idx = 0
-	}
-	c.mu.RLock()
-	h, ok := c.loadDeps[idx]
-	c.mu.RUnlock()
-	if ok {
-		return h
-	}
-	h = c.model.Profile.LoadDepHistFor(rob)
-	c.mu.Lock()
-	c.loadDeps[idx] = h
-	c.mu.Unlock()
-	return h
+	return c.loadDeps.Get(max(c.model.Profile.Opts.ROBIndexFor(rob), 0))
 }
 
 // scratch holds the reusable buffers of one evaluation kernel, so a batched
@@ -458,15 +392,15 @@ func (c *Compiled) finish(cfg *config.Config, ge *geomEntry, missRate float64, i
 // micro-trace: miss ratios, dispatch rate, base, branch, I-cache and
 // chained-LLC-hit components, and the MLP parameter set short of the
 // frequency-derived fields. The memoized or mix-derived per-micro inputs —
-// the raw L1/L2/LLC load miss ratios, the chain interpolation (ABP, CP) at
-// cfg.ROB, and the port/unit dispatch bounds — are computed by the caller,
+// the raw L1/L2/LLC load miss ratios, the critical path CP at cfg.ROB, and
+// the port/unit dispatch bounds — are computed by the caller,
 // which serves them from the batch kernel's lock-free local caches. The
 // result is written into out (a reused scr.invs slot), and prm's per-micro
 // fields (MispredictEvery, DispatchRate) are unconditionally reassigned, so
 // one caller-owned Params template serves every micro.
 //
 //mipp:hotpath
-func (c *Compiled) microInvariant(mi int, cfg *config.Config, ge *geomEntry, prm *mlp.Params, missRate float64, mrL1, mrL2, mrLLC, abp, cp, portD, unitD float64, out *microInv) {
+func (c *Compiled) microInvariant(mi int, cfg *config.Config, ge *geomEntry, prm *mlp.Params, missRate float64, mrL1, mrL2, mrLLC, cp, portD, unitD float64, out *microInv) {
 	micro := c.micros[mi]
 	n := float64(micro.Len)
 	*out = microInv{}
@@ -507,7 +441,7 @@ func (c *Compiled) microInvariant(mi int, cfg *config.Config, ge *geomEntry, prm
 	branches := float64(micro.Branches)
 	mispred := branches * missRate
 	if mispred > 0 {
-		cres, occ := c.branchResolution(mi, cfg, lat, abp, mispred, n)
+		cres, occ := c.branchResolution(mi, cfg, lat, mispred)
 		// The resolution overlaps with the backend draining the ROB
 		// backlog (occ uops at Deff); the front-end refill does not.
 		drain := occ / deff
@@ -594,27 +528,23 @@ func (c *Compiled) microFinish(mi int, cfg *config.Config, ge *geomEntry, inv *m
 	return ev
 }
 
-// branchResolution memoizes the leaky-bucket fixpoint (Algorithm 3.2): it
-// tracks how full the ROB is when the mispredicted branch finally executes
-// and prices the resolution as lat × ABP at that occupancy. It also returns
-// the ROB occupancy, which bounds how much of the recovery the backlog can
-// hide.
+// branchResolution returns the memoized leaky-bucket fixpoint (Algorithm
+// 3.2) for a positive misprediction count: the resolution time and the ROB
+// occupancy, which bounds how much of the recovery the backlog can hide.
 //
 //mipp:hotpath
-func (c *Compiled) branchResolution(mi int, cfg *config.Config, lat, abp, mispred, n float64) (float64, float64) {
-	if mispred <= 0 {
-		return lat * abp, 0
-	}
-	key := branchKey{micro: mi, rob: cfg.ROB, width: cfg.DispatchWidth, lat: lat, mispred: mispred}
-	c.mu.RLock()
-	v, ok := c.branches[key]
-	c.mu.RUnlock()
-	if ok {
-		return v[0], v[1]
-	}
-	ni := n / mispred // uops between mispredictions
-	d := float64(cfg.DispatchWidth)
-	rob := float64(cfg.ROB)
+func (c *Compiled) branchResolution(mi int, cfg *config.Config, lat, mispred float64) (float64, float64) {
+	v := c.branches.Get(branchKey{micro: mi, rob: cfg.ROB, width: cfg.DispatchWidth, lat: lat, mispred: mispred})
+	return v[0], v[1]
+}
+
+// branchFixpoint runs Algorithm 3.2: it tracks how full the ROB is when the
+// mispredicted branch finally executes and prices the resolution as
+// lat × ABP at that occupancy.
+func (c *Compiled) branchFixpoint(k branchKey) [2]float64 {
+	ni := float64(c.micros[k.micro].Len) / k.mispred // uops between mispredictions
+	d := float64(k.width)
+	rob := float64(k.rob)
 	robi := 0.0
 	for iter := 0; ni > d && iter < 4096; iter++ {
 		if robi+d <= rob {
@@ -625,10 +555,10 @@ func (c *Compiled) branchResolution(mi int, cfg *config.Config, lat, abp, mispre
 			robi = rob
 		}
 		// Independent instructions at the current occupancy.
-		_, _, cpi := c.chainAt(mi, int(robi+0.5))
+		_, _, cpi := c.chainAt(k.micro, int(robi+0.5))
 		iRob := robi
 		if cpi > 0 {
-			iRob = robi / (lat * cpi)
+			iRob = robi / (k.lat * cpi)
 		}
 		leave := math.Min(iRob, d)
 		robi -= leave
@@ -640,16 +570,11 @@ func (c *Compiled) branchResolution(mi int, cfg *config.Config, lat, abp, mispre
 	if occ < 1 {
 		occ = 1
 	}
-	_, abpOcc, _ := c.chainAt(mi, occ)
+	_, abpOcc, _ := c.chainAt(k.micro, occ)
 	if abpOcc < 1 {
 		abpOcc = 1
 	}
-	c.mu.Lock()
-	if len(c.branches) < maxMemoEntries {
-		c.branches[key] = [2]float64{lat * abpOcc, robi}
-	}
-	c.mu.Unlock()
-	return lat * abpOcc, robi
+	return [2]float64{k.lat * abpOcc, robi}
 }
 
 // llcChainPenalty implements Equations 4.7-4.12.

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -133,6 +136,53 @@ func TestMemoOverflowIdentical(t *testing.T) {
 	again := c.Evaluate(base)
 	if !reflect.DeepEqual(first, again) {
 		t.Fatal("evaluation after memo overflow differs from the original")
+	}
+}
+
+// TestMemoOrderIndependent fills the shared memo tables in two orders: two
+// fresh Models over one profile evaluate the same configurations, one in
+// input order and one in a seeded permutation, and the results must marshal
+// to the same bytes. The goldens compare warm and cold kernels on one
+// shared Compiled, so they never fill the tables in two orders.
+func TestMemoOrderIndependent(t *testing.T) {
+	p := modelFor(t, "mcf", 60_000).Profile
+	cfgs := config.DesignSpace()
+	wide := &config.Space{
+		Widths:     []int{2, 4, 6},
+		ROBs:       []int{48, 64, 96, 128, 192, 256},
+		L3Bytes:    []int64{1 << 20, 2 << 20, 4 << 20, 8 << 20},
+		Clocks:     config.DVFSPoints(),
+		Prefetcher: []bool{false, true},
+	}
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 400; i++ {
+		cfgs = append(cfgs, wide.At(rng.Intn(wide.Size())))
+	}
+	perm := rng.Perm(len(cfgs))
+	for _, opts := range []Options{DefaultOptions(), {MLPMode: mlp.ColdMiss, BranchMissRate: -1}} {
+		inOrder, permuted := New(p, nil).Compile(opts), New(p, nil).Compile(opts)
+		want := make([]*Result, len(cfgs))
+		for i, cfg := range cfgs {
+			want[i] = inOrder.Evaluate(cfg)
+		}
+		got := make([]*Result, len(cfgs))
+		for _, i := range perm {
+			got[i] = permuted.Evaluate(cfgs[i])
+		}
+		for i := range cfgs {
+			w, err := json.Marshal(want[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := json.Marshal(got[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(w, g) {
+				t.Fatalf("opts %+v: config %d (%s) differs with the memo filled in another order:\nin order: %s\npermuted: %s",
+					opts, i, cfgs[i].Name, w, g)
+			}
+		}
 	}
 }
 

@@ -22,6 +22,7 @@ var DeterministicPackages = []string{
 	"mipp/internal/config",
 	"mipp/internal/dse",
 	"mipp/internal/statstack",
+	"mipp/internal/memo",
 	// The profile pipeline: a profile's bytes decide its store digest and
 	// every prediction made from it.
 	"mipp/internal/profiler",

@@ -1,9 +1,7 @@
 package mlp
 
 import (
-	"sync"
-	"sync/atomic"
-
+	"mipp/internal/memo"
 	"mipp/internal/profiler"
 	"mipp/internal/statstack"
 )
@@ -29,12 +27,8 @@ type Compiled struct {
 	m     *profiler.Micro
 	curve *statstack.Curve
 
-	mu      sync.RWMutex
-	evals   map[Params]MicroMem
-	streams map[streamKey][]virtualLoad
-
-	builds   atomic.Uint64 // virtual-stream builds (distinct stream keys)
-	computes atomic.Uint64 // full evaluations (memo misses)
+	evals   *memo.Table[Params, MicroMem]
+	streams *memo.Table[streamKey, []virtualLoad]
 }
 
 // streamKey identifies one virtual instruction stream: the LLC line count
@@ -57,52 +51,36 @@ const (
 // Compile prepares the MLP models of one micro-trace for repeated
 // evaluation against many configurations.
 func Compile(p *profiler.Profile, m *profiler.Micro, curve *statstack.Curve) *Compiled {
-	return &Compiled{
-		p:       p,
-		m:       m,
-		curve:   curve,
-		evals:   make(map[Params]MicroMem),
-		streams: make(map[streamKey][]virtualLoad),
-	}
+	c := &Compiled{p: p, m: m, curve: curve}
+	c.evals = memo.New(maxEvalEntries, c.evaluate)
+	c.streams = memo.New(maxStreamEntries, c.buildStream)
+	return c
 }
 
 // Stats reports how much work the memo tables absorbed: StreamBuilds is the
 // number of virtual streams constructed, Computes the number of full model
 // evaluations that missed the memo.
 func (c *Compiled) Stats() (streamBuilds, computes uint64) {
-	return c.builds.Load(), c.computes.Load()
+	return c.streams.Computes(), c.evals.Computes()
 }
 
 // Evaluate predicts the memory behaviour of the micro-trace, memoized on
 // the Params fields the models read.
 func (c *Compiled) Evaluate(prm Params) MicroMem {
-	key := prm
 	// Fields no MLP model reads must not fragment the memo; zeroing them
-	// here is what makes a frequency or width sweep hit the cache. If a
-	// model starts reading one of these, remove it from this list.
-	key.DispatchRate = 0
-	key.BusPerLine = 0
-	key.L1Lines = 0
-	key.L2Lines = 0
-	c.mu.RLock()
-	out, ok := c.evals[key]
-	c.mu.RUnlock()
-	if ok {
-		return out
-	}
-	out = c.evaluate(prm)
-	c.mu.Lock()
-	if len(c.evals) < maxEvalEntries {
-		c.evals[key] = out
-	}
-	c.mu.Unlock()
-	return out
+	// here is what makes a frequency or width sweep hit the cache. The
+	// models see the zeroed key, so a model that starts reading one of
+	// these reads zero: remove it from this list first.
+	prm.DispatchRate = 0
+	prm.BusPerLine = 0
+	prm.L1Lines = 0
+	prm.L2Lines = 0
+	return c.evals.Get(prm)
 }
 
 // evaluate mirrors the package-level Evaluate, with the stride path served
 // from the stream cache.
 func (c *Compiled) evaluate(prm Params) MicroMem {
-	c.computes.Add(1)
 	out := MicroMem{Loads: float64(c.m.LoadCount)}
 	out.MissPerLoad = statstack.MissRatioForMicro(c.curve, c.m, prm.LLCLines)
 	switch prm.Mode {
@@ -141,21 +119,14 @@ func (c *Compiled) strideMLP(prm Params) (float64, pfStats) {
 // configuration's LLC geometry and ROB quantization, building it on first
 // use. The cached stream is never mutated after construction.
 func (c *Compiled) stream(prm Params) []virtualLoad {
-	key := streamKey{llcLines: prm.LLCLines, robIdx: c.p.Opts.ROBIndexFor(prm.ROB)}
-	c.mu.RLock()
-	s, ok := c.streams[key]
-	c.mu.RUnlock()
-	if ok {
-		return s
-	}
-	c.builds.Add(1)
-	target := statstack.MissRatioForMicro(c.curve, c.m, prm.LLCLines) * float64(c.m.LoadCount)
-	s = buildVirtualStream(c.p, c.m, c.curve, prm, target)
-	assignDepths(s, c.p, c.m, prm.ROB)
-	c.mu.Lock()
-	if len(c.streams) < maxStreamEntries {
-		c.streams[key] = s
-	}
-	c.mu.Unlock()
+	return c.streams.Get(streamKey{llcLines: prm.LLCLines, robIdx: c.p.Opts.ROBIndexFor(prm.ROB)})
+}
+
+// buildStream constructs the stream of one key: miss marks for its LLC
+// line count, depths from the f(ℓ) histogram of its profiled-ROB index.
+func (c *Compiled) buildStream(k streamKey) []virtualLoad {
+	target := statstack.MissRatioForMicro(c.curve, c.m, k.llcLines) * float64(c.m.LoadCount)
+	s := buildVirtualStream(c.p, c.m, c.curve, k.llcLines, target)
+	assignDepths(s, microLoadDeps(c.p, c.m, k.robIdx))
 	return s
 }

@@ -146,18 +146,18 @@ func RescaleForStores(mlp, loadMisses, storeMisses float64) float64 {
 	return mlp * (loadMisses + storeMisses) / loadMisses
 }
 
-// coldMissMLP implements Equations 4.1-4.3. Cold misses locate the bursts;
-// capacity/conflict misses are assumed uniformly spread over the loads.
-// microLoadDeps returns the micro-trace's own f(ℓ) histogram for the
-// profiled ROB size nearest rob, falling back to the profile aggregate.
-func microLoadDeps(p *profiler.Profile, m *profiler.Micro, rob int) *stats.Histogram {
-	best := p.Opts.ROBIndexFor(rob)
-	if best >= 0 && best < len(m.LoadDeps) && m.LoadDeps[best] != nil && m.LoadDeps[best].Total() > 0 {
-		return m.LoadDeps[best]
+// microLoadDeps returns the micro-trace's own f(ℓ) histogram at profiled-ROB
+// index idx (as Options.ROBIndexFor returns it), falling back to the
+// profile aggregate.
+func microLoadDeps(p *profiler.Profile, m *profiler.Micro, idx int) *stats.Histogram {
+	if idx >= 0 && idx < len(m.LoadDeps) && m.LoadDeps[idx] != nil && m.LoadDeps[idx].Total() > 0 {
+		return m.LoadDeps[idx]
 	}
-	return p.LoadDepHistFor(rob)
+	return p.LoadDepHistAt(max(idx, 0))
 }
 
+// coldMissMLP implements Equations 4.1-4.3. Cold misses locate the bursts;
+// capacity/conflict misses are assumed uniformly spread over the loads.
 func coldMissMLP(p *profiler.Profile, m *profiler.Micro, curve *statstack.Curve, prm Params) float64 {
 	mllc := statstack.MissRatioForMicro(curve, m, prm.LLCLines)
 	if mllc <= 0 || m.LoadCount == 0 {
@@ -172,7 +172,7 @@ func coldMissMLP(p *profiler.Profile, m *profiler.Micro, curve *statstack.Curve,
 	cfMisses := totalMisses - coldMisses
 	cfRate := cfMisses / float64(m.LoadCount)
 
-	f := microLoadDeps(p, m, prm.ROB)
+	f := microLoadDeps(p, m, p.Opts.ROBIndexFor(prm.ROB))
 	if f.Total() == 0 {
 		return 1
 	}

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"mipp/internal/profiler"
+	"mipp/internal/stats"
 	"mipp/internal/statstack"
 )
 
@@ -38,7 +39,7 @@ type pfStats struct {
 // load-spacing distribution, assigns addresses along its classified stride
 // pattern, and marks predicted LLC misses with a per-static error-diffusion
 // of its StatStack miss ratio (so discrete marks match the predicted rate).
-func buildVirtualStream(p *profiler.Profile, m *profiler.Micro, curve *statstack.Curve, prm Params, targetMisses float64) []virtualLoad {
+func buildVirtualStream(p *profiler.Profile, m *profiler.Micro, curve *statstack.Curve, llcLines, targetMisses float64) []virtualLoad {
 	type staticStream struct {
 		accesses []virtualLoad
 		newLines int
@@ -54,7 +55,7 @@ func buildVirtualStream(p *profiler.Profile, m *profiler.Micro, curve *statstack
 		if spacing < 1 {
 			spacing = 1
 		}
-		missRatio := statstack.StaticLoadMissRatio(p, curve, sl.Static, prm.LLCLines)
+		missRatio := statstack.StaticLoadMissRatio(p, curve, sl.Static, llcLines)
 		base := int64(sl.Static) << 24
 		var addr int64
 		var strideAcc []float64
@@ -151,8 +152,7 @@ func buildVirtualStream(p *profiler.Profile, m *profiler.Micro, curve *statstack
 
 // assignDepths deterministically assigns each virtual load a dependence
 // depth ℓ so the depth distribution matches the profiled f(ℓ).
-func assignDepths(stream []virtualLoad, p *profiler.Profile, m *profiler.Micro, rob int) {
-	f := microLoadDeps(p, m, rob)
+func assignDepths(stream []virtualLoad, f *stats.Histogram) {
 	keys := f.Keys()
 	if len(keys) == 0 {
 		for i := range stream {

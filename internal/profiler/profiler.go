@@ -289,14 +289,16 @@ func (p *Profile) coldHistFor(rob int) *stats.Histogram {
 // LoadDepHistFor returns the aggregate inter-load dependence distribution
 // f(ℓ) for the profiled ROB size closest to rob, merged across micro-traces.
 func (p *Profile) LoadDepHistFor(rob int) *stats.Histogram {
-	best := p.Opts.ROBIndexFor(rob)
-	if best < 0 {
-		best = 0
-	}
+	return p.LoadDepHistAt(max(p.Opts.ROBIndexFor(rob), 0))
+}
+
+// LoadDepHistAt returns the aggregate f(ℓ) at profiled-ROB index idx,
+// merged across micro-traces.
+func (p *Profile) LoadDepHistAt(idx int) *stats.Histogram {
 	out := stats.NewHistogram()
 	for _, m := range p.Micros {
-		if best < len(m.LoadDeps) && m.LoadDeps[best] != nil {
-			out.Merge(m.LoadDeps[best])
+		if idx < len(m.LoadDeps) && m.LoadDeps[idx] != nil {
+			out.Merge(m.LoadDeps[idx])
 		}
 	}
 	return out
