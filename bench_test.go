@@ -12,9 +12,11 @@ package mipp_test
 import (
 	"context"
 	"io"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"mipp"
 	"mipp/api"
@@ -417,6 +419,62 @@ func BenchmarkPredictColdCompile(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkPredictColdFill measures the first pass over a search-sized
+// batch: a fresh mcf Predictor runs PredictBatchInto over 6,144 seeded
+// configs of examples/search's wide space (its search budget), filling
+// every memo table, then runs the same call again warm. cold/warm compares
+// two passes over the same configs on the same host, so it survives a
+// change of runner; CI gates it.
+func BenchmarkPredictColdFill(b *testing.B) {
+	p, err := mipp.NewProfiler().Profile("mcf", benchN)
+	if err != nil {
+		b.Fatal(err)
+	}
+	space := &arch.Space{
+		Widths: []int{1, 2, 3, 4, 5, 6},
+		ROBs:   []int{16, 24, 32, 48, 64, 80, 96, 112, 128, 160, 192, 224, 256, 320, 384, 512},
+		L2Bytes: []int64{64 << 10, 128 << 10, 256 << 10, 512 << 10,
+			1 << 20, 2 << 20, 4 << 20, 8 << 20},
+		L3Bytes: []int64{1 << 20, 2 << 20, 4 << 20, 8 << 20,
+			16 << 20, 32 << 20, 64 << 20, 128 << 20},
+		Clocks: []arch.DVFSPoint{
+			{FrequencyGHz: 1.2, VoltageV: 0.85}, {FrequencyGHz: 1.6, VoltageV: 0.95},
+			{FrequencyGHz: 2.0, VoltageV: 1.0}, {FrequencyGHz: 2.2, VoltageV: 1.03},
+			{FrequencyGHz: 2.4, VoltageV: 1.05}, {FrequencyGHz: 2.66, VoltageV: 1.1},
+			{FrequencyGHz: 2.8, VoltageV: 1.13}, {FrequencyGHz: 3.0, VoltageV: 1.16},
+			{FrequencyGHz: 3.2, VoltageV: 1.2}, {FrequencyGHz: 3.33, VoltageV: 1.25},
+		},
+		Prefetcher: []bool{false, true},
+	}
+	rng := rand.New(rand.NewSource(18))
+	configs := make([]*arch.Config, space.Size()/20)
+	for i := range configs {
+		configs[i] = space.At(rng.Intn(space.Size()))
+	}
+	ctx := context.Background()
+	var br mipp.BatchResult
+	var cold, warm time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pd, err := mipp.NewPredictor(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t0 := time.Now()
+		if err := pd.PredictBatchInto(ctx, configs, &br); err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		if err := pd.PredictBatchInto(ctx, configs, &br); err != nil {
+			b.Fatal(err)
+		}
+		cold += t1.Sub(t0)
+		warm += time.Since(t1)
+	}
+	b.ReportMetric(cold.Seconds()/warm.Seconds(), "cold/warm")
+	b.ReportMetric(cold.Seconds()*1e3/float64(b.N), "cold-ms/op")
 }
 
 // Chapter 7 — applications.

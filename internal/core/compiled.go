@@ -159,10 +159,13 @@ type CompiledStats struct {
 	// MissRatioComputes counts per-micro miss-ratio queries against the
 	// reuse curve.
 	MissRatioComputes uint64
-	// StreamBuilds and MLPComputes aggregate the per-micro MLP caches:
-	// virtual-stream constructions and full MLP-model evaluations.
-	StreamBuilds uint64
-	MLPComputes  uint64
+	// MissMarkBuilds, DepthBuilds and MLPComputes aggregate the per-micro
+	// MLP caches: stride-MLP miss-mark sets (one per LLC line count) and
+	// depth columns (one per profiled-ROB index) computed, and full
+	// MLP-model evaluations.
+	MissMarkBuilds uint64
+	DepthBuilds    uint64
+	MLPComputes    uint64
 }
 
 // Stats snapshots the memo-table counters.
@@ -172,8 +175,9 @@ func (c *Compiled) Stats() CompiledStats {
 		MissRatioComputes: c.microMR.Computes(),
 	}
 	for _, mc := range c.mcs {
-		b, e := mc.Stats()
-		s.StreamBuilds += b
+		mm, d, e := mc.Stats()
+		s.MissMarkBuilds += mm
+		s.DepthBuilds += d
 		s.MLPComputes += e
 	}
 	return s

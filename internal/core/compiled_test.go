@@ -116,8 +116,8 @@ func TestEvaluateBatchCancellation(t *testing.T) {
 	}
 }
 
-// TestMemoOverflowIdentical floods the mlp stream cache past its bound
-// (maxStreamEntries distinct LLC geometries) and asserts overflow changes
+// TestMemoOverflowIdentical floods the mlp miss-mark table past its bound
+// (maxColumnEntries distinct LLC geometries) and asserts overflow changes
 // nothing but speed: an evaluation whose memo entry was never stored still
 // returns exactly what the cached evaluation returned.
 func TestMemoOverflowIdentical(t *testing.T) {
@@ -125,7 +125,7 @@ func TestMemoOverflowIdentical(t *testing.T) {
 	c := m.Compile(DefaultOptions())
 	base := config.Reference()
 	first := c.Evaluate(base)
-	// 70 distinct L3 line counts (> maxStreamEntries = 64); line-multiple
+	// 70 distinct L3 line counts (> maxColumnEntries = 64); line-multiple
 	// sizes keep the geometry meaningful without needing Validate.
 	for i := 0; i < 70; i++ {
 		cfg := config.Reference()
@@ -136,6 +136,74 @@ func TestMemoOverflowIdentical(t *testing.T) {
 	again := c.Evaluate(base)
 	if !reflect.DeepEqual(first, again) {
 		t.Fatal("evaluation after memo overflow differs from the original")
+	}
+}
+
+// wideSpace is the 122,880-point space of examples/search.
+func wideSpace() *config.Space {
+	return &config.Space{
+		Widths: []int{1, 2, 3, 4, 5, 6},
+		ROBs:   []int{16, 24, 32, 48, 64, 80, 96, 112, 128, 160, 192, 224, 256, 320, 384, 512},
+		L2Bytes: []int64{64 << 10, 128 << 10, 256 << 10, 512 << 10,
+			1 << 20, 2 << 20, 4 << 20, 8 << 20},
+		L3Bytes: []int64{1 << 20, 2 << 20, 4 << 20, 8 << 20,
+			16 << 20, 32 << 20, 64 << 20, 128 << 20},
+		Clocks: []config.DVFSPoint{
+			{FrequencyGHz: 1.2, VoltageV: 0.85}, {FrequencyGHz: 1.6, VoltageV: 0.95},
+			{FrequencyGHz: 2.0, VoltageV: 1.0}, {FrequencyGHz: 2.2, VoltageV: 1.03},
+			{FrequencyGHz: 2.4, VoltageV: 1.05}, {FrequencyGHz: 2.66, VoltageV: 1.1},
+			{FrequencyGHz: 2.8, VoltageV: 1.13}, {FrequencyGHz: 3.0, VoltageV: 1.16},
+			{FrequencyGHz: 3.2, VoltageV: 1.2}, {FrequencyGHz: 3.33, VoltageV: 1.25},
+		},
+		Prefetcher: []bool{false, true},
+	}
+}
+
+// TestStrideColumnsOncePerKey pins the cost of a cold wide-space fill: the
+// 6,144 seeded configs examples/search's budget allows, evaluated on one
+// goroutine, compute one stride-MLP miss-mark set per LLC size and one
+// depth column per profiled-ROB index (8 and 12) on every micro-trace with
+// loads, however the configs pair the two.
+func TestStrideColumnsOncePerKey(t *testing.T) {
+	space := wideSpace()
+	rng := rand.New(rand.NewSource(18))
+	cfgs := make([]*config.Config, 6144)
+	for i := range cfgs {
+		cfgs[i] = space.At(rng.Intn(space.Size()))
+	}
+	for _, name := range []string{"mcf", "gcc"} {
+		m := modelFor(t, name, 100_000)
+		llcs, robs := make(map[int64]bool), make(map[int]bool)
+		for _, cfg := range cfgs {
+			llcs[cfg.L3.Lines()] = true
+			robs[m.Profile.Opts.ROBIndexFor(cfg.ROB)] = true
+		}
+		if len(llcs) != 8 || len(robs) != 12 {
+			t.Fatalf("%s: configs span %d LLC sizes and %d ROB indices, want 8 and 12", name, len(llcs), len(robs))
+		}
+		withLoads := 0
+		for _, micro := range m.Profile.Micros {
+			for _, sl := range micro.Loads {
+				if sl.Count > 0 {
+					withLoads++
+					break
+				}
+			}
+		}
+		if withLoads == 0 {
+			t.Fatalf("%s: no micro-trace has loads", name)
+		}
+		c := m.Compile(DefaultOptions())
+		if _, err := evaluateBatch(context.Background(), c, cfgs); err != nil {
+			t.Fatal(err)
+		}
+		st := c.Stats()
+		if want := uint64(8 * withLoads); st.MissMarkBuilds != want {
+			t.Errorf("%s: %d miss-mark sets over %d micro-traces with loads, want %d", name, st.MissMarkBuilds, withLoads, want)
+		}
+		if want := uint64(12 * withLoads); st.DepthBuilds != want {
+			t.Errorf("%s: %d depth columns over %d micro-traces with loads, want %d", name, st.DepthBuilds, withLoads, want)
+		}
 	}
 }
 

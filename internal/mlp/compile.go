@@ -1,50 +1,50 @@
 package mlp
 
 import (
+	"sync"
+
 	"mipp/internal/memo"
 	"mipp/internal/profiler"
 	"mipp/internal/statstack"
 )
 
 // Compiled memoizes the config-invariant pieces of the MLP models for one
-// (profile, micro-trace) pair. The expensive step of the stride-MLP model —
-// rebuilding and sorting the virtual instruction stream and assigning
-// dependence depths — depends only on the LLC geometry and on which
-// profiled ROB size the window quantizes to, so a design-space or DVFS
-// sweep reuses a handful of streams across hundreds of configurations.
-// Full model evaluations are additionally memoized on the subset of Params
-// the models actually read; that key includes the memory latency in cycles
-// (mshrCap reads it), which scales with frequency, so the points of a DVFS
-// sweep share streams but still pay the (cheap) prefetcher/abstract-ROB
-// walks — only exact geometry/window/latency repeats are outright free.
+// (profile, micro-trace) pair. The stride-MLP model's virtual instruction
+// stream is split by what each part depends on: the base stream —
+// positions, statics, prev links, new-line accesses and the position order —
+// depends on the micro-trace alone and is built once, on first stride-MLP
+// use; the miss marks depend only on the LLC line count and are kept as one
+// bitset per line count; the dependence depths depend only on the
+// profiled-ROB index the window quantizes to and are kept as one column per
+// index. A design-space or DVFS sweep therefore pays for a handful of
+// bitsets and columns, not one stream per (LLC size, ROB) pair. Full model
+// evaluations are additionally memoized on the subset of Params the models
+// actually read; that key includes the memory latency in cycles (mshrCap
+// reads it), which scales with frequency, so the points of a DVFS sweep
+// share the columns but still pay the (cheap) prefetcher/abstract-ROB walks
+// — only exact geometry/window/latency repeats are outright free.
 //
 // A Compiled is safe for concurrent use; results are byte-identical to the
-// package-level Evaluate for the same inputs. Both memo tables are bounded
-// (maxStreamEntries, maxEvalEntries): past the cap new keys are recomputed
+// package-level Evaluate for the same inputs. The memo tables are bounded
+// (maxColumnEntries, maxEvalEntries): past the cap new keys are recomputed
 // per call instead of cached, so a long-lived service holds bounded state.
 type Compiled struct {
 	p     *profiler.Profile
 	m     *profiler.Micro
 	curve *statstack.Curve
 
-	evals   *memo.Table[Params, MicroMem]
-	streams *memo.Table[streamKey, []virtualLoad]
+	base      func() *baseStream
+	evals     *memo.Table[Params, MicroMem]
+	missMarks *memo.Table[float64, []uint64]
+	depths    *memo.Table[int, depthColumn]
 }
 
-// streamKey identifies one virtual instruction stream: the LLC line count
-// drives the miss marking, and the profiled-ROB index drives the depth
-// assignment (any two ROB sizes quantizing to the same profiled size get
-// identical depths).
-type streamKey struct {
-	llcLines float64
-	robIdx   int
-}
-
-// Memo bounds per micro-trace: streams are the heavy entries (one record
-// per profiled load), evals are scalar. Real sweeps stay far below both;
-// the caps keep a daemon serving arbitrary client geometries bounded.
+// Memo bounds per micro-trace: a miss-mark set costs a bit per load and a
+// depth column 4 bytes per load; evals are scalar. Real sweeps stay far
+// below all three; the caps keep a daemon serving arbitrary client
+// geometries bounded.
 const (
-	maxStreamEntries = 64
+	maxColumnEntries = 64
 	maxEvalEntries   = 1 << 14
 )
 
@@ -52,16 +52,22 @@ const (
 // evaluation against many configurations.
 func Compile(p *profiler.Profile, m *profiler.Micro, curve *statstack.Curve) *Compiled {
 	c := &Compiled{p: p, m: m, curve: curve}
+	c.base = sync.OnceValue(func() *baseStream { return buildBase(m) })
 	c.evals = memo.New(maxEvalEntries, c.evaluate)
-	c.streams = memo.New(maxStreamEntries, c.buildStream)
+	c.missMarks = memo.New(maxColumnEntries, func(llcLines float64) []uint64 {
+		return missMarks(p, m, curve, c.base(), llcLines)
+	})
+	c.depths = memo.New(maxColumnEntries, func(robIdx int) depthColumn {
+		return depths(microLoadDeps(p, m, robIdx), len(c.base().pos))
+	})
 	return c
 }
 
-// Stats reports how much work the memo tables absorbed: StreamBuilds is the
-// number of virtual streams constructed, Computes the number of full model
-// evaluations that missed the memo.
-func (c *Compiled) Stats() (streamBuilds, computes uint64) {
-	return c.streams.Computes(), c.evals.Computes()
+// Stats reports how much work the memo tables absorbed: the miss-mark sets
+// (one per LLC line count) and depth columns (one per profiled-ROB index)
+// computed, and the full model evaluations that missed the memo.
+func (c *Compiled) Stats() (missMarkBuilds, depthBuilds, computes uint64) {
+	return c.missMarks.Computes(), c.depths.Computes(), c.evals.Computes()
 }
 
 // Evaluate predicts the memory behaviour of the micro-trace, memoized on
@@ -79,7 +85,7 @@ func (c *Compiled) Evaluate(prm Params) MicroMem {
 }
 
 // evaluate mirrors the package-level Evaluate, with the stride path served
-// from the stream cache.
+// from the base stream and its column tables.
 func (c *Compiled) evaluate(prm Params) MicroMem {
 	out := MicroMem{Loads: float64(c.m.LoadCount)}
 	out.MissPerLoad = statstack.MissRatioForMicro(c.curve, c.m, prm.LLCLines)
@@ -103,30 +109,16 @@ func (c *Compiled) evaluate(prm Params) MicroMem {
 	return out
 }
 
-// strideMLP runs the prefetcher and abstract-ROB steps on the cached
-// virtual stream; only those two (cheap, config-dependent) walks run per
-// distinct configuration.
+// strideMLP runs the prefetcher and abstract-ROB walks over the base stream
+// with the configuration's miss marks and depths; only those two (cheap,
+// config-dependent) walks run per distinct configuration.
 func (c *Compiled) strideMLP(prm Params) (float64, pfStats) {
-	stream := c.stream(prm)
-	if len(stream) == 0 {
+	b := c.base()
+	if len(b.pos) == 0 {
 		return 1, pfStats{}
 	}
-	pf := modelPrefetcher(stream, c.m, prm)
-	return stepROB(stream, c.m.Len, prm.window()), pf
-}
-
-// stream returns the depth-assigned virtual instruction stream for the
-// configuration's LLC geometry and ROB quantization, building it on first
-// use. The cached stream is never mutated after construction.
-func (c *Compiled) stream(prm Params) []virtualLoad {
-	return c.streams.Get(streamKey{llcLines: prm.LLCLines, robIdx: c.p.Opts.ROBIndexFor(prm.ROB)})
-}
-
-// buildStream constructs the stream of one key: miss marks for its LLC
-// line count, depths from the f(ℓ) histogram of its profiled-ROB index.
-func (c *Compiled) buildStream(k streamKey) []virtualLoad {
-	target := statstack.MissRatioForMicro(c.curve, c.m, k.llcLines) * float64(c.m.LoadCount)
-	s := buildVirtualStream(c.p, c.m, c.curve, k.llcLines, target)
-	assignDepths(s, microLoadDeps(c.p, c.m, k.robIdx))
-	return s
+	marks := c.missMarks.Get(prm.LLCLines)
+	pf := modelPrefetcher(b, marks, prm)
+	d := c.depths.Get(c.p.Opts.ROBIndexFor(prm.ROB))
+	return stepROB(b, marks, d, c.m.Len, prm.window()), pf
 }

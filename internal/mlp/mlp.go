@@ -3,6 +3,12 @@
 // built on a virtual instruction stream (§4.5), the MSHR soft cap (§4.6,
 // Equation 4.4), the memory-bus queuing model (§4.7, Equations 4.5-4.6) and
 // the stride-prefetcher interaction (§4.9, Equation 4.13).
+//
+// Compile prepares one micro-trace for many configurations. It builds the
+// virtual stream's config-independent part once, and keeps the stream's
+// miss marks per LLC line count and its dependence depths per profiled-ROB
+// index, so a sweep pays for each of those keys once rather than for every
+// pair of them.
 package mlp
 
 import (

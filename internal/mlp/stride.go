@@ -8,16 +8,47 @@ import (
 	"mipp/internal/statstack"
 )
 
-// virtualLoad is one entry of the virtual instruction stream the stride-MLP
-// model reconstructs from the profiled distributions (§4.5).
-type virtualLoad struct {
-	pos     int // uop position within the micro-trace
-	static  uint32
-	line    int64 // virtual cache-line id
-	newLine bool  // first access to this line along the stride pattern
-	miss    bool  // predicted LLC miss
-	depth   int   // ℓ: loads on the dependence path (from f(ℓ))
-	prev    int   // position of the previous access of the same static (-1)
+// The stride-MLP model rebuilds a virtual instruction stream from the
+// load-spacing, stride, reuse-distance and inter-load dependence
+// distributions, marks hits and misses, and steps an abstract ROB over the
+// stream counting independent misses (§4.5). Branch mispredictions drain
+// the window (§2.5.2), so the abstract ROB steps with the truncated window
+// size. Compiled (compile.go) splits the stream by what each part depends
+// on: a baseStream per micro-trace, a missMarks bitset per LLC line count
+// and a depthColumn per profiled-ROB index.
+
+// baseStream is the config-independent part of one micro-trace's virtual
+// instruction stream, in position order: 20 bytes per load plus 4 per
+// new-line access.
+type baseStream struct {
+	pos    []int   // uop position within the micro-trace
+	prev   []int   // position of the previous access of the same record (-1)
+	static []int32 // dense static index into pf (one per Static id)
+
+	// newLine lists, record by record (m.Loads entry by entry) in
+	// construction order, the stream index of every access that opens a
+	// new line along its stride pattern: only those can be marked as
+	// misses. Record r's run ends at newEnd[r].
+	newLine []int32
+	newEnd  []int32
+
+	// pf classifies each static for the prefetcher model; a static that
+	// m.Loads repeats takes its last record's classification.
+	pf []pfClass
+}
+
+// pfClass is what the prefetcher model reads of a static's classification:
+// whether it follows a stride pattern, and its largest stride in bytes.
+type pfClass struct {
+	strided bool
+	reach   uint64
+}
+
+// depthColumn assigns each stream index a dependence depth ℓ:
+// keys[at[i]] is the depth of the i-th load in position order.
+type depthColumn struct {
+	keys []int64
+	at   []int32
 }
 
 type pfStats struct {
@@ -26,36 +57,36 @@ type pfStats struct {
 	spacing float64 // average trigger distance (uops) for partial misses
 }
 
-// The stride-MLP model rebuilds a virtual instruction stream from the
-// load-spacing, stride, reuse-distance and inter-load dependence
-// distributions, marks hits and misses, and steps an abstract ROB over the
-// stream counting independent misses. The entry point is
-// Compiled.strideMLP (compile.go), which caches the stream construction
-// per (LLC geometry, profiled-ROB index); branch mispredictions drain the
-// window (§2.5.2), so the abstract ROB steps with the truncated window
-// size.
-
-// buildVirtualStream positions each static load's recurrences with the
+// buildBase positions each static load's recurrences with the
 // load-spacing distribution, assigns addresses along its classified stride
-// pattern, and marks predicted LLC misses with a per-static error-diffusion
-// of its StatStack miss ratio (so discrete marks match the predicted rate).
-func buildVirtualStream(p *profiler.Profile, m *profiler.Micro, curve *statstack.Curve, llcLines, targetMisses float64) []virtualLoad {
-	type staticStream struct {
-		accesses []virtualLoad
-		newLines int
-		ratio    float64
+// pattern to find the accesses that open a new line, and sorts the
+// accesses by position. The accesses are generated record by record in
+// m.Loads order and sorted with sort.Slice on position alone, so the
+// order of accesses that share a position is a fixed function of that
+// construction order.
+func buildBase(m *profiler.Micro) *baseStream {
+	type access struct {
+		pos, prev int
+		static    int32
+		built     int32 // index in construction order
 	}
-	var perStatic []staticStream
+	b := &baseStream{newEnd: make([]int32, len(m.Loads))}
+	dense := make(map[uint32]int32, len(m.Loads))
+	var accesses []access
 	var lineSeq int64
-	var expected float64
-	var totalAccesses int
-	for _, sl := range m.Loads {
+	for r, sl := range m.Loads {
 		cls := profiler.Classify(sl)
+		s, ok := dense[sl.Static]
+		if !ok {
+			s = int32(len(b.pf))
+			dense[sl.Static] = s
+			b.pf = append(b.pf, pfClass{})
+		}
+		b.pf[s] = classifyForPrefetch(cls)
 		spacing := sl.AvgSpacing()
 		if spacing < 1 {
 			spacing = 1
 		}
-		missRatio := statstack.StaticLoadMissRatio(p, curve, sl.Static, llcLines)
 		base := int64(sl.Static) << 24
 		var addr int64
 		var strideAcc []float64
@@ -64,7 +95,6 @@ func buildVirtualStream(p *profiler.Profile, m *profiler.Micro, curve *statstack
 		}
 		prevLine := int64(-1)
 		prevPos := -1
-		var accesses []virtualLoad
 		for k := 0; k < sl.Count; k++ {
 			pos := sl.FirstPos + int(float64(k)*spacing+0.5)
 			if pos >= m.Len {
@@ -92,21 +122,58 @@ func buildVirtualStream(p *profiler.Profile, m *profiler.Micro, curve *statstack
 					addr += cls.Strides[best]
 				}
 			}
-			v := virtualLoad{pos: pos, static: sl.Static, line: line, prev: prevPos}
-			v.newLine = line != prevLine
+			if line != prevLine {
+				b.newLine = append(b.newLine, int32(len(accesses)))
+			}
+			accesses = append(accesses, access{pos: pos, prev: prevPos, static: s, built: int32(len(accesses))})
 			prevLine = line
 			prevPos = pos
-			accesses = append(accesses, v)
 		}
-		newLines := 0
-		for i := range accesses {
-			if accesses[i].newLine {
-				newLines++
-			}
+		b.newEnd[r] = int32(len(b.newLine))
+	}
+	sort.Slice(accesses, func(i, j int) bool { return accesses[i].pos < accesses[j].pos })
+
+	b.pos = make([]int, len(accesses))
+	b.prev = make([]int, len(accesses))
+	b.static = make([]int32, len(accesses))
+	at := make([]int32, len(accesses)) // construction index -> stream index
+	for i, a := range accesses {
+		b.pos[i], b.prev[i], b.static[i] = a.pos, a.prev, a.static
+		at[a.built] = int32(i)
+	}
+	for k, built := range b.newLine {
+		b.newLine[k] = at[built]
+	}
+	return b
+}
+
+// classifyForPrefetch reduces a classification to what modelPrefetcher
+// reads.
+func classifyForPrefetch(cls profiler.Classification) pfClass {
+	pc := pfClass{strided: cls.Category >= profiler.CatStride && cls.Category <= profiler.CatFilter4}
+	for _, s := range cls.Strides {
+		if s < 0 {
+			s = -s
 		}
-		perStatic = append(perStatic, staticStream{accesses, newLines, missRatio})
-		expected += missRatio * float64(len(accesses))
-		totalAccesses += len(accesses)
+		pc.reach = max(pc.reach, uint64(s))
+	}
+	return pc
+}
+
+// missMarks marks predicted LLC misses on the base stream at one LLC line
+// count with a per-record error diffusion of its static's StatStack miss
+// ratio, so discrete marks match the predicted rate. Bit i is set when the
+// i-th load in position order misses.
+func missMarks(p *profiler.Profile, m *profiler.Micro, curve *statstack.Curve, b *baseStream, llcLines float64) []uint64 {
+	targetMisses := statstack.MissRatioForMicro(curve, m, llcLines) * float64(m.LoadCount)
+	// Record r contributed max(Count, 0) accesses to the base stream.
+	ratios := make([]float64, len(m.Loads))
+	var expected float64
+	var totalAccesses int
+	for r, sl := range m.Loads {
+		ratios[r] = statstack.StaticLoadMissRatio(p, curve, sl.Static, llcLines)
+		expected += ratios[r] * float64(max(sl.Count, 0))
+		totalAccesses += max(sl.Count, 0)
 	}
 	// Rescale the per-static ratios so the marked misses match the
 	// micro-trace's own StatStack miss count: the global per-static reuse
@@ -117,61 +184,67 @@ func buildVirtualStream(p *profiler.Profile, m *profiler.Micro, curve *statstack
 		scale = targetMisses / expected
 	} else if targetMisses > 0 && totalAccesses > 0 {
 		// No per-static signal at all: spread the misses uniformly.
-		for i := range perStatic {
-			perStatic[i].ratio = targetMisses / float64(totalAccesses)
+		for r := range ratios {
+			ratios[r] = targetMisses / float64(totalAccesses)
 		}
 	}
-	var stream []virtualLoad
-	for _, ss := range perStatic {
-		ratio := ss.ratio * scale
+	marks := make([]uint64, (len(b.pos)+63)/64)
+	start := int32(0)
+	for r, sl := range m.Loads {
+		newLine := b.newLine[start:b.newEnd[r]]
+		start = b.newEnd[r]
+		ratio := ratios[r] * scale
 		if ratio > 1 {
 			ratio = 1
 		}
-		if ss.newLines > 0 && ratio > 0 {
-			perNew := ratio * float64(len(ss.accesses)) / float64(ss.newLines)
-			if perNew > 1 {
-				perNew = 1
-			}
-			acc := 0.0
-			for i := range ss.accesses {
-				if !ss.accesses[i].newLine {
-					continue
-				}
-				acc += perNew
-				if acc >= 0.9999 {
-					ss.accesses[i].miss = true
-					acc--
-				}
+		if len(newLine) == 0 || !(ratio > 0) {
+			continue
+		}
+		perNew := ratio * float64(max(sl.Count, 0)) / float64(len(newLine))
+		if perNew > 1 {
+			perNew = 1
+		}
+		acc := 0.0
+		for _, i := range newLine {
+			acc += perNew
+			if acc >= 0.9999 {
+				marks[i>>6] |= 1 << (i & 63)
+				acc--
 			}
 		}
-		stream = append(stream, ss.accesses...)
 	}
-	sort.Slice(stream, func(i, j int) bool { return stream[i].pos < stream[j].pos })
-	return stream
+	return marks
 }
 
-// assignDepths deterministically assigns each virtual load a dependence
-// depth ℓ so the depth distribution matches the profiled f(ℓ).
-func assignDepths(stream []virtualLoad, f *stats.Histogram) {
-	keys := f.Keys()
-	if len(keys) == 0 {
-		for i := range stream {
-			stream[i].depth = 1
-		}
-		return
+// missed reports whether the i-th load in position order is marked.
+func missed(marks []uint64, i int) bool { return marks[i>>6]&(1<<(i&63)) != 0 }
+
+// depths deterministically assigns each of n loads in position order a
+// dependence depth ℓ so the depth distribution matches the profiled f(ℓ).
+// An empty histogram gives every load depth 1.
+func depths(f *stats.Histogram, n int) depthColumn {
+	d := depthColumn{keys: f.Keys(), at: make([]int32, n)}
+	if len(d.keys) == 0 {
+		d.keys = []int64{1}
+		return d
 	}
-	acc := make([]float64, len(keys))
-	for i := range stream {
+	frac := make([]float64, len(d.keys))
+	for k, key := range d.keys {
+		frac[k] = f.Fraction(key)
+	}
+	acc := make([]float64, len(d.keys))
+	for i := range d.at {
 		best := 0
-		for k := range keys {
-			acc[k] += f.Fraction(keys[k])
+		for k := range acc {
+			acc[k] += frac[k]
 			if acc[k] > acc[best] {
 				best = k
 			}
 		}
 		acc[best]--
-		stream[i].depth = int(keys[best])
+		d.at[i] = int32(best)
 	}
+	return d
 }
 
 // modelPrefetcher walks the virtual stream with a model of the limited-size
@@ -179,77 +252,61 @@ func assignDepths(stream []virtualLoad, f *stats.Histogram) {
 // still tracked, follows a stride pattern that stays within a DRAM page, and
 // has recurred at least MinConfidence times. Timeliness follows
 // Equation 4.13: a trigger more than ROB uops ahead hides the full latency.
-func modelPrefetcher(stream []virtualLoad, m *profiler.Micro, prm Params) pfStats {
+func modelPrefetcher(b *baseStream, marks []uint64, prm Params) pfStats {
 	var out pfStats
 	if !prm.Prefetch.Enabled {
 		return out
 	}
-	classes := make(map[uint32]profiler.Classification, len(m.Loads))
-	occurrence := make(map[uint32]int, len(m.Loads))
-	for _, sl := range m.Loads {
-		classes[sl.Static] = profiler.Classify(sl)
-	}
-	// LRU table of tracked statics.
+	occurrence := make([]int, len(b.pf))
+	// LRU table of tracked statics; slot[s] is 1 + s's index in table, or
+	// 0 when s is not tracked.
 	type lruEnt struct {
-		static uint32
+		static int32
 		tick   int
 	}
-	table := make(map[uint32]*lruEnt, prm.Prefetch.TableSize)
+	slot := make([]int, len(b.pf))
+	table := make([]lruEnt, 0, len(b.pf))
 	tick := 0
 	var misses, timely, partial, spacingSum float64
-	for i := range stream {
-		v := &stream[i]
+	for i, s := range b.static {
 		tick++
-		occ := occurrence[v.static]
-		occurrence[v.static] = occ + 1
+		occ := occurrence[s]
+		occurrence[s] = occ + 1
 		tracked := false
-		if e, ok := table[v.static]; ok {
-			e.tick = tick
+		if e := slot[s]; e > 0 {
+			table[e-1].tick = tick
 			tracked = true
-		} else {
-			if len(table) >= prm.Prefetch.TableSize && prm.Prefetch.TableSize > 0 {
-				// Evict LRU: its recurrence distance exceeded
-				// the table reach.
-				var victim *lruEnt
-				for _, e := range table {
-					if victim == nil || e.tick < victim.tick {
-						victim = e
-					}
+		} else if len(table) >= prm.Prefetch.TableSize && prm.Prefetch.TableSize > 0 {
+			// Evict LRU: its recurrence distance exceeded the
+			// table reach.
+			victim := 0
+			for j := range table {
+				if table[j].tick < table[victim].tick {
+					victim = j
 				}
-				delete(table, victim.static)
 			}
-			table[v.static] = &lruEnt{static: v.static, tick: tick}
+			slot[table[victim].static] = 0
+			table[victim] = lruEnt{static: s, tick: tick}
+			slot[s] = victim + 1
+		} else {
+			table = append(table, lruEnt{static: s, tick: tick})
+			slot[s] = len(table)
 		}
-		if !v.miss {
+		if !missed(marks, i) {
 			continue
 		}
 		misses++
-		cls := classes[v.static]
 		if !tracked || occ < prm.Prefetch.MinConfidence {
 			continue
 		}
-		strided := cls.Category >= profiler.CatStride && cls.Category <= profiler.CatFilter4
-		if !strided {
-			continue
-		}
-		inPage := true
-		for _, s := range cls.Strides {
-			if s < 0 {
-				s = -s
-			}
-			if uint64(s) >= prm.Prefetch.PageBytes {
-				inPage = false
-				break
-			}
-		}
-		if !inPage {
+		if pc := b.pf[s]; !pc.strided || pc.reach >= prm.Prefetch.PageBytes {
 			continue
 		}
 		// Timeliness (Eq 4.13): the prefetch triggers at the previous
 		// recurrence; a gap of at least ROB uops hides everything.
 		gap := prm.ROB
-		if v.prev >= 0 {
-			gap = v.pos - v.prev
+		if b.prev[i] >= 0 {
+			gap = b.pos[i] - b.prev[i]
 		}
 		if gap >= prm.ROB {
 			timely++
@@ -271,7 +328,7 @@ func modelPrefetcher(stream []virtualLoad, m *profiler.Micro, prm Params) pfStat
 // stepROB steps non-overlapping ROB-sized windows over the virtual stream
 // and computes the average number of independent misses per window with at
 // least one miss — the abstract MLP model of §4.5.
-func stepROB(stream []virtualLoad, microLen, rob int) float64 {
+func stepROB(b *baseStream, marks []uint64, d depthColumn, microLen, rob int) float64 {
 	if rob <= 0 {
 		return 1
 	}
@@ -280,12 +337,11 @@ func stepROB(stream []virtualLoad, microLen, rob int) float64 {
 	i := 0
 	for start := 0; start < microLen; start += rob {
 		end := start + rob
+		first := i
 		var loads, misses float64
-		var windowStream []virtualLoad
-		for i < len(stream) && stream[i].pos < end {
-			windowStream = append(windowStream, stream[i])
+		for i < len(b.pos) && b.pos[i] < end {
 			loads++
-			if stream[i].miss {
+			if missed(marks, i) {
 				misses++
 			}
 			i++
@@ -295,11 +351,11 @@ func stepROB(stream []virtualLoad, microLen, rob int) float64 {
 		}
 		mw := misses / loads
 		mlp := 0.0
-		for _, v := range windowStream {
-			if !v.miss {
+		for j := first; j < i; j++ {
+			if !missed(marks, j) {
 				continue
 			}
-			mlp += pow1m(mw, v.depth-1)
+			mlp += pow1m(mw, int(d.keys[d.at[j]])-1)
 		}
 		if mlp < 1 {
 			mlp = 1

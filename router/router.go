@@ -392,11 +392,24 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, bo
 	writeError(w, http.StatusBadGateway, errNoReplicas)
 }
 
+// answers holds the buffers replica answers are read into. sync.Pool drops
+// idle buffers within two GC cycles, so a burst of large answers does not
+// pin its memory.
+var answers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// releaseAnswer returns a buffer sendBuffered filled, once nothing reads
+// its bytes any more.
+func releaseAnswer(buf *bytes.Buffer) {
+	buf.Reset()
+	answers.Put(buf)
+}
+
 // sendBuffered is forward for handlers that need the replica's response
 // body in hand (to record a job route, or to splice). It returns the
-// response with its body fully read, or nil after exhausting the set or
+// response with its body fully read into a pooled buffer, which the caller
+// hands to releaseAnswer once written, or nil after exhausting the set or
 // losing the caller (the 502 or 499 is already written when w is non-nil).
-func (rt *Router) sendBuffered(w http.ResponseWriter, r *http.Request, key string, body []byte) (*http.Response, []byte, *member) {
+func (rt *Router) sendBuffered(w http.ResponseWriter, r *http.Request, key string, body []byte) (*http.Response, *bytes.Buffer, *member) {
 	rid := api.RequestIDFromContext(r.Context())
 	for attempt := 0; attempt < len(rt.ring.members); attempt++ {
 		m := rt.ring.pick(key)
@@ -405,14 +418,18 @@ func (rt *Router) sendBuffered(w http.ResponseWriter, r *http.Request, key strin
 		}
 		m.inflight.Add(1)
 		resp, err := rt.send(r, m, body)
-		var data []byte
+		var data *bytes.Buffer
 		if err == nil {
-			data, err = io.ReadAll(resp.Body)
+			data = answers.Get().(*bytes.Buffer)
+			_, err = data.ReadFrom(resp.Body)
 			resp.Body.Close()
 		}
 		m.inflight.Add(-1)
 		if err == nil {
 			return resp, data, m
+		}
+		if data != nil {
+			releaseAnswer(data)
 		}
 		if callerGone(w, r) {
 			return nil, nil, nil
@@ -506,14 +523,15 @@ func (rt *Router) handleSearchSubmit(w http.ResponseWriter, r *http.Request) {
 	if resp == nil {
 		return
 	}
+	defer releaseAnswer(data)
 	if resp.StatusCode/100 == 2 {
 		var out api.SearchJobResponse
-		if err := json.Unmarshal(data, &out); err == nil && out.Job.ID != "" {
+		if err := json.Unmarshal(data.Bytes(), &out); err == nil && out.Job.ID != "" {
 			rt.jobs.Store(out.Job.ID, m)
 			rt.logf("search job %s: routed to %s rid=%s", out.Job.ID, m.url, api.RequestIDFromContext(r.Context()))
 		}
 	}
-	writeBuffered(w, resp, data)
+	writeBuffered(w, resp, data.Bytes())
 }
 
 // findJob resolves a job id to its owning replica: the remembered route
@@ -587,12 +605,22 @@ var (
 	batchTail = []byte("]}\n")
 )
 
+// span is json.RawMessage without the copy: it keeps the bytes
+// json.Unmarshal hands it, which are a sub-slice of the input.
+type span []byte
+
+func (s *span) UnmarshalJSON(b []byte) error {
+	*s = b
+	return nil
+}
+
 // batchItems checks a replica's 2xx evaluate answer and returns the bytes
-// inside its items array, to be spliced without decoding one item.
+// inside its items array, a sub-slice of data, to be spliced without
+// decoding one item.
 func batchItems(data []byte) ([]byte, error) {
 	var sub struct {
-		SchemaVersion int             `json:"schema_version"`
-		Items         json.RawMessage `json:"items"`
+		SchemaVersion int  `json:"schema_version"`
+		Items         span `json:"items"`
 	}
 	if err := json.Unmarshal(data, &sub); err != nil {
 		return nil, err
@@ -638,7 +666,7 @@ func (rt *Router) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 
 	type part struct {
 		resp *http.Response
-		data []byte
+		data *bytes.Buffer
 	}
 	parts := make([]part, len(req.Workloads))
 	t := obs.StartTimer()
@@ -660,6 +688,15 @@ func (rt *Router) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 	t.ObserveInto(rt.fanout)
+	// The spliced items point into the answers' buffers: release them only
+	// after the response is written.
+	defer func() {
+		for _, p := range parts {
+			if p.data != nil {
+				releaseAnswer(p.data)
+			}
+		}
+	}()
 
 	items := make([][]byte, 0, len(parts))
 	for i, p := range parts {
@@ -672,10 +709,10 @@ func (rt *Router) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		if p.resp.StatusCode/100 != 2 {
 			// Relay the first failing workload's verdict verbatim (first by
 			// request order, so the failure is deterministic).
-			writeBuffered(w, p.resp, p.data)
+			writeBuffered(w, p.resp, p.data.Bytes())
 			return
 		}
-		inner, err := batchItems(p.data)
+		inner, err := batchItems(p.data.Bytes())
 		if err != nil {
 			writeError(w, http.StatusBadGateway,
 				fmt.Errorf("replica answer for workload %q: %w", req.Workloads[i], err))
