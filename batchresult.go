@@ -3,6 +3,7 @@ package mipp
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"mipp/api"
@@ -175,7 +176,8 @@ func (pd *Predictor) resolveRange(configs []*Config, br *BatchResult, off int) {
 }
 
 // finishRange attaches the power estimate to every evaluated slot in
-// [lo, hi).
+// [lo, hi). A slot with a number on the wire that is not finite becomes a
+// per-config error, since encoding/json cannot encode NaN or ±Inf.
 //
 //mipp:hotpath
 func (pd *Predictor) finishRange(br *BatchResult, lo, hi int) {
@@ -184,7 +186,31 @@ func (pd *Predictor) finishRange(br *BatchResult, lo, hi int) {
 			continue
 		}
 		br.power[i] = power.Estimate(br.resolved[i], &br.core.Row(i).Activity)
+		if !br.finite(i) {
+			br.errs[i] = fmt.Errorf("mipp: Predict: config %s: prediction is not finite", br.resolved[i].Name) //mipp:allow hotpath cold per-item failure path
+		}
 	}
+}
+
+// finite reports whether every number the wire result of slot i carries is
+// finite. Watts sums the power stack, so it is finite only if every
+// component is; ED2P is the energy times the time twice, so it is finite
+// only if EnergyJoules and EDP, the products on its way, are.
+func (br *BatchResult) finite(i int) bool {
+	row := br.core.Row(i)
+	var r Result
+	r.FrequencyGHz, r.Cycles, r.Instructions, r.Power = br.resolved[i].FrequencyGHz, row.Cycles, row.Instructions, br.power[i]
+	return allFinite(r.FrequencyGHz, r.Cycles, row.Uops, r.Instructions, r.CPI(), r.TimeSeconds(), r.Watts(), r.ED2P(),
+		row.Deff, row.MLP, row.BranchMissRate) && allFinite(row.Stack.Cycles[:]...) && allFinite(row.MicroCPI...)
+}
+
+func allFinite(xs ...float64) bool {
+	for _, x := range xs {
+		if !(math.Abs(x) <= math.MaxFloat64) { // false for NaN and ±Inf
+			return false
+		}
+	}
+	return true
 }
 
 // PredictBatchInto is the allocation-free batched prediction entry point:
@@ -192,8 +218,9 @@ func (pd *Predictor) finishRange(br *BatchResult, lo, hi int) {
 // every configuration in input order on one pooled kernel, so steady-state
 // generations — a search strategy's, a sweep window's — assemble results
 // with zero allocations. Row i always corresponds to configs[i]:
-// br.Err(i) is non-nil exactly where the configuration failed validation (a
-// bad configuration skips its slot, it does not abort the batch), and
+// br.Err(i) is non-nil exactly where the configuration failed validation or
+// predicted a number that is not finite (a bad configuration skips its
+// slot, it does not abort the batch), and
 // br.Result(i) is byte-identical to what Predict(configs[i]) returns.
 //
 // Every configuration is validated up front; the context is then polled

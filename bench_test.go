@@ -10,9 +10,13 @@ package mipp_test
 // defaults to the full suite at 300k uops.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
@@ -23,6 +27,7 @@ import (
 	"mipp/arch"
 	"mipp/fidelity"
 	"mipp/internal/exp"
+	"mipp/server"
 )
 
 const benchN = 60_000
@@ -146,14 +151,27 @@ func engineForBench(b *testing.B) *mipp.Engine {
 	return benchEngine.engine
 }
 
-func benchEngineEvaluate(b *testing.B, workers int) {
-	e := engineForBench(b)
-	req := &api.BatchRequest{
+// evaluateBenchRequest is the serving benches' request: 2 workloads × every
+// third Table 6.3 config.
+func evaluateBenchRequest(workers int) *api.BatchRequest {
+	return &api.BatchRequest{
 		SchemaVersion: api.SchemaVersion,
 		Workloads:     []string{"mcf", "gamess"},
 		Space:         &api.SpaceSpec{Kind: "design", Stride: 3},
 		Workers:       workers,
 	}
+}
+
+// reportConfigs reports items configs per run as configs/s.
+func reportConfigs(b *testing.B, items int) {
+	if items > 0 && b.Elapsed() > 0 {
+		b.ReportMetric(float64(items*b.N)/b.Elapsed().Seconds(), "configs/s")
+	}
+}
+
+func benchEngineEvaluate(b *testing.B, workers int) {
+	e := engineForBench(b)
+	req := evaluateBenchRequest(workers)
 	items := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -169,14 +187,70 @@ func benchEngineEvaluate(b *testing.B, workers int) {
 		}
 	}
 	b.StopTimer()
-	if items > 0 && b.Elapsed() > 0 {
-		b.ReportMetric(float64(items*b.N)/b.Elapsed().Seconds(), "configs/s")
-	}
+	reportConfigs(b, items)
 }
 
 func BenchmarkEngineEvaluate_1worker(b *testing.B) { benchEngineEvaluate(b, 1) }
 func BenchmarkEngineEvaluate_Nworkers(b *testing.B) {
 	benchEngineEvaluate(b, 0) // 0 = engine default (GOMAXPROCS)
+}
+
+// The rungs above the engine, on EngineEvaluate_1worker's request: the
+// server's /v1/evaluate handler in process, and the client's decode of the
+// answer it writes, beside json.Unmarshal of the same bytes. CI gates
+// ServerEvaluate against EngineEvaluate_1worker and ClientDecodeEvaluate
+// against ClientDecodeEvaluateStd.
+
+// serveEvaluate answers one /v1/evaluate request through srv in process.
+func serveEvaluate(b *testing.B, srv http.Handler, body []byte) []byte {
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/evaluate", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		b.Fatalf("evaluate: %d %s", rec.Code, rec.Body)
+	}
+	return rec.Body.Bytes()
+}
+
+func BenchmarkServerEvaluate(b *testing.B) {
+	srv := server.New(engineForBench(b))
+	body, err := json.Marshal(evaluateBenchRequest(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var first api.BatchResponse
+	if err := json.Unmarshal(serveEvaluate(b, srv, body), &first); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serveEvaluate(b, srv, body)
+	}
+	b.StopTimer()
+	reportConfigs(b, len(first.Items))
+}
+
+func benchDecodeEvaluate(b *testing.B, decode func([]byte, *api.BatchResponse) error) {
+	body, err := json.Marshal(evaluateBenchRequest(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	answer := serveEvaluate(b, server.New(engineForBench(b)), body)
+	items := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var resp api.BatchResponse
+		if err := decode(answer, &resp); err != nil {
+			b.Fatal(err)
+		}
+		items = len(resp.Items)
+	}
+	b.StopTimer()
+	reportConfigs(b, items)
+}
+
+func BenchmarkClientDecodeEvaluate(b *testing.B) { benchDecodeEvaluate(b, api.DecodeBatchResponse) }
+func BenchmarkClientDecodeEvaluateStd(b *testing.B) {
+	benchDecodeEvaluate(b, func(data []byte, v *api.BatchResponse) error { return json.Unmarshal(data, v) })
 }
 
 // BenchmarkEngineEvaluateFidelity re-measures the batch serving path with
@@ -204,11 +278,7 @@ func BenchmarkEngineEvaluateFidelity(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	req := &api.BatchRequest{
-		SchemaVersion: api.SchemaVersion,
-		Workloads:     []string{"mcf", "gamess"},
-		Space:         &api.SpaceSpec{Kind: "design", Stride: 3},
-	}
+	req := evaluateBenchRequest(0)
 	items := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -219,9 +289,7 @@ func BenchmarkEngineEvaluateFidelity(b *testing.B) {
 		items = len(resp.Items)
 	}
 	b.StopTimer()
-	if items > 0 && b.Elapsed() > 0 {
-		b.ReportMetric(float64(items*b.N)/b.Elapsed().Seconds(), "configs/s")
-	}
+	reportConfigs(b, items)
 }
 
 // benchGroundTruth is never meaningfully invoked (the predicate all but

@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+	"sync"
 	"time"
 
 	"mipp"
@@ -80,6 +81,14 @@ func (e *RemoteError) Unwrap() []error {
 // call POSTs req as JSON to path (or GETs when req is nil) and decodes the
 // response into resp.
 func (c *Client) call(ctx context.Context, method, path string, req, resp any) error {
+	return c.do(ctx, method, path, req, func(body io.Reader) error {
+		return json.NewDecoder(body).Decode(resp)
+	})
+}
+
+// do POSTs req as JSON to path (or GETs when req is nil) and hands a 2xx
+// response body to decode.
+func (c *Client) do(ctx context.Context, method, path string, req any, decode func(io.Reader) error) error {
 	var body io.Reader
 	if req != nil {
 		data, err := json.Marshal(req)
@@ -115,10 +124,29 @@ func (c *Client) call(ctx context.Context, method, path string, req, resp any) e
 		}
 		return &RemoteError{Status: hresp.StatusCode, Message: msg}
 	}
-	if err := json.NewDecoder(hresp.Body).Decode(resp); err != nil {
+	if err := decode(hresp.Body); err != nil {
 		return fmt.Errorf("client: decode %s response: %w", path, err)
 	}
 	return nil
+}
+
+// answers holds the buffers evaluate answers are read into. sync.Pool
+// drops idle buffers within two GC cycles, so a burst of large answers
+// does not pin its memory.
+var answers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// decodeBatch reads an evaluate answer whole into a pooled buffer and
+// decodes it from there.
+func decodeBatch(body io.Reader, resp *api.BatchResponse) error {
+	buf := answers.Get().(*bytes.Buffer)
+	defer func() {
+		buf.Reset()
+		answers.Put(buf)
+	}()
+	if _, err := buf.ReadFrom(body); err != nil {
+		return err
+	}
+	return api.DecodeBatchResponse(buf.Bytes(), resp)
 }
 
 // RegisterProfile implements mipp.Evaluator.
@@ -207,10 +235,15 @@ func (c *Client) Sweep(ctx context.Context, req *api.SweepRequest) (*api.SweepRe
 	return resp, checkVersion(resp.SchemaVersion)
 }
 
-// Evaluate implements mipp.Evaluator.
+// Evaluate implements mipp.Evaluator. The answer, the largest on the
+// wire, is decoded in one pass by api.DecodeBatchResponse, so, unlike the
+// other calls, anything but whitespace after it is an error.
 func (c *Client) Evaluate(ctx context.Context, req *api.BatchRequest) (*api.BatchResponse, error) {
 	resp := &api.BatchResponse{}
-	if err := c.call(ctx, http.MethodPost, "/v1/evaluate", req, resp); err != nil {
+	err := c.do(ctx, http.MethodPost, "/v1/evaluate", req, func(body io.Reader) error {
+		return decodeBatch(body, resp)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return resp, checkVersion(resp.SchemaVersion)

@@ -10,6 +10,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -209,6 +211,40 @@ func TestRemoteErrors(t *testing.T) {
 	_, err = client.New("http://127.0.0.1:1").Workloads(ctx)
 	if err == nil {
 		t.Error("unreachable server did not error")
+	}
+}
+
+// TestEvaluateTrailingData pins the one way the evaluate decode differs
+// from the other calls' json.Decoder, which stops after the value: any
+// byte but whitespace after the answer is an error.
+func TestEvaluateTrailingData(t *testing.T) {
+	const answer = `{"schema_version":1,"items":[{"workload":"mcf","config":"reference","error":"x"}]}`
+	for _, c := range []struct {
+		name, body string
+		ok         bool
+	}{
+		{"garbage", answer + "x", false},
+		{"second value", answer + "\n{}", false},
+		{"whitespace", answer + " \n\t\r\n", true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/json")
+				_, _ = io.WriteString(w, c.body)
+			}))
+			defer srv.Close()
+			resp, err := client.New(srv.URL).Evaluate(context.Background(), &api.BatchRequest{
+				SchemaVersion: api.SchemaVersion, Workloads: []string{"mcf"},
+				Configs: []api.ConfigSpec{{Name: "reference"}}})
+			switch {
+			case c.ok && err != nil:
+				t.Fatalf("evaluate: %v", err)
+			case c.ok && (len(resp.Items) != 1 || resp.Items[0].Error != "x"):
+				t.Errorf("decoded %+v", resp)
+			case !c.ok && err == nil:
+				t.Errorf("evaluate accepted %q", c.body)
+			}
+		})
 	}
 }
 

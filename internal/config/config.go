@@ -111,9 +111,12 @@ func (c *Config) UnitCount(cl trace.Class) int {
 	return n
 }
 
-// Validate reports structural problems (a class with no port, non-power-of-2
-// caches, etc.).
+// Validate reports structural problems (a non-positive clock, a class with
+// no port, non-power-of-2 caches, etc.).
 func (c *Config) Validate() error {
+	if !(c.FrequencyGHz > 0) || !(c.VoltageV > 0) {
+		return fmt.Errorf("config %s: non-positive operating point %gGHz %gV", c.Name, c.FrequencyGHz, c.VoltageV)
+	}
 	if c.DispatchWidth <= 0 || c.ROB <= 0 || c.IQ <= 0 {
 		return fmt.Errorf("config %s: non-positive core structure", c.Name)
 	}

@@ -235,8 +235,8 @@ func (pd *Predictor) Predict(cfg *Config) (*Result, error) {
 // evaluation kernel — the batched phase-2 path Sweep and the service layer
 // run on. results[i] always corresponds to configs[i] and is byte-identical
 // to what Predict(configs[i]) returns; errs[i] is non-nil exactly where the
-// configuration failed validation (a bad configuration skips its slot, it
-// does not abort the batch).
+// configuration failed validation or predicted a number that is not finite
+// (a bad configuration skips its slot, it does not abort the batch).
 //
 // Every configuration is validated up front; the context is then polled
 // every few configurations (core.CtxCheckStride), so cancellation inside a

@@ -605,35 +605,6 @@ var (
 	batchTail = []byte("]}\n")
 )
 
-// span is json.RawMessage without the copy: it keeps the bytes
-// json.Unmarshal hands it, which are a sub-slice of the input.
-type span []byte
-
-func (s *span) UnmarshalJSON(b []byte) error {
-	*s = b
-	return nil
-}
-
-// batchItems checks a replica's 2xx evaluate answer and returns the bytes
-// inside its items array, a sub-slice of data, to be spliced without
-// decoding one item.
-func batchItems(data []byte) ([]byte, error) {
-	var sub struct {
-		SchemaVersion int  `json:"schema_version"`
-		Items         span `json:"items"`
-	}
-	if err := json.Unmarshal(data, &sub); err != nil {
-		return nil, err
-	}
-	if err := api.CheckVersion(sub.SchemaVersion); err != nil {
-		return nil, err
-	}
-	if len(sub.Items) == 0 || sub.Items[0] != '[' {
-		return nil, errors.New("items is not an array")
-	}
-	return bytes.TrimSpace(sub.Items[1 : len(sub.Items)-1]), nil
-}
-
 // handleEvaluate scatter-gathers a cross-workload batch: one sub-request
 // per workload, placed like any single-workload request. The replicas'
 // item arrays are spliced verbatim in the request's workload order —
@@ -712,7 +683,7 @@ func (rt *Router) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 			writeBuffered(w, p.resp, p.data.Bytes())
 			return
 		}
-		inner, err := batchItems(p.data.Bytes())
+		inner, err := api.BatchItems(p.data.Bytes())
 		if err != nil {
 			writeError(w, http.StatusBadGateway,
 				fmt.Errorf("replica answer for workload %q: %w", req.Workloads[i], err))

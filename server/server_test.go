@@ -11,6 +11,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +19,7 @@ import (
 
 	"mipp"
 	"mipp/api"
+	"mipp/arch"
 	"mipp/store"
 )
 
@@ -237,6 +239,35 @@ func TestHandlersMatchEngine(t *testing.T) {
 			}
 			if got := strings.TrimSpace(rec.Body.String()); got != string(wantJSON) {
 				t.Errorf("handler response differs from engine response\nhandler: %.200s\nengine:  %.200s", got, wantJSON)
+			}
+		})
+	}
+}
+
+// TestEvaluateNonPositiveClock sends inline configs whose clock is zero,
+// negative or so small that the derived metrics overflow. Each must come
+// back as an item error in a body that decodes: encoding/json cannot
+// encode the infinite time or energy such a clock predicts.
+func TestEvaluateNonPositiveClock(t *testing.T) {
+	for _, ghz := range []float64{0, -1, 1e-300} {
+		t.Run(strconv.FormatFloat(ghz, 'g', -1, 64), func(t *testing.T) {
+			cfg := *arch.Reference()
+			cfg.FrequencyGHz = ghz
+			body, err := json.Marshal(&api.BatchRequest{SchemaVersion: api.SchemaVersion,
+				Workloads: []string{"mcf"}, Configs: []api.ConfigSpec{{Config: &cfg}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := serve(t, "POST", "/v1/evaluate", string(body))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status = %d: %s", rec.Code, rec.Body)
+			}
+			var resp api.BatchResponse
+			if err := api.DecodeBatchResponse(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("body %q does not decode: %v", rec.Body, err)
+			}
+			if len(resp.Items) != 1 || resp.Items[0].Error == "" || resp.Items[0].Result != nil {
+				t.Errorf("want one item error, got %s", rec.Body)
 			}
 		})
 	}
