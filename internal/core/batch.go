@@ -5,8 +5,8 @@ import (
 
 	"mipp/internal/cache"
 	"mipp/internal/config"
+	"mipp/internal/memory"
 	"mipp/internal/mlp"
-	"mipp/internal/prefetch"
 	"mipp/internal/trace"
 )
 
@@ -92,13 +92,13 @@ func (br *BatchResult) Release() {
 // nonClockKey is the comparable projection of a configuration onto the
 // fields the clock-invariant kernel stages read. Two configurations with
 // equal keys (and equal port maps — compared separately because Ports is a
-// slice) produce identical invariants; only MemConfig and the MLP memory
-// query differ, which is exactly what the DVFS fast path re-runs.
+// slice) produce identical invariants; only MemConfig and the memory
+// column differ, which is exactly what the DVFS fast path re-runs.
 // FrequencyGHz, VoltageV, Name and Prefetcher are deliberately absent:
 // voltage and the label never reach the core model, and frequency and the
-// prefetcher only enter at the memory-query stage (computeMems patches
-// both into the parameter set), so they are the axes the fast path
-// re-runs cheaply.
+// prefetcher only enter at the memory stage (the DRAM latency in cycles
+// and the prefetcher are part of memKey), so they are the axes the fast
+// path re-runs cheaply.
 type nonClockKey struct {
 	dispatchWidth int
 	rob           int
@@ -139,29 +139,10 @@ func makeKey(cfg *config.Config) nonClockKey {
 	}
 }
 
-// memColKey identifies one MicroMem column across a whole sweep. The
-// normalized mlp.Params sequence a column is computed from is fully
-// determined by these fields plus per-Compiled state (mode, load fractions,
-// the micro set): mlp.Compiled.Evaluate zeroes DispatchRate, BusPerLine and
-// the L1/L2 line counts out of its memo key because no memory model reads
-// them, and MispredictEvery is a pure function of the micro and missRate.
-// Keying columns this way makes them valid across nonClockKey changes — a
-// grid sweep that revisits a (ROB, L3, clock) combination under a different
-// width or L2 reuses the column with no invalidation.
-type memColKey struct {
-	rob        int
-	mshrs      int
-	lat        int
-	bus        int
-	l3         cache.Config
-	prefetcher prefetch.Config
-	missRate   float64
-}
-
 // maxColCacheEntries bounds each of a warm Batch's column caches;
-// realistic grid sweeps touch well under this many geometries, ROB sizes or
-// (ROB, L3, clock, prefetch) combinations. At the bound a cache is flushed
-// whole onto its free list — amortized O(1), never different results.
+// realistic grid sweeps touch well under this many geometries or ROB
+// sizes. At the bound a cache is flushed whole onto its free list —
+// amortized O(1), never different results.
 const maxColCacheEntries = 256
 
 // colCache is one of a kernel's bounded per-micro column caches: a map from
@@ -214,9 +195,9 @@ func (cc *colCache[K, T]) add(k K, n int) []T {
 // (Evaluate, EvaluateRangeInto) borrows one from its Compiled's pool for
 // the duration of a call. When consecutive configurations share their
 // nonClockKey and port map, the kernel skips the geometry/miss-ratio/chain
-// stages entirely and re-runs only the frequency-dependent memory query and
-// the final combine — and caches the memory query per distinct clock, so a
-// sweep cycling through a DVFS axis does pure arithmetic per point.
+// stages entirely and re-runs only the memory-column lookup (one shared
+// table read per configuration) and the final combine, so a sweep cycling
+// through a DVFS axis does one lookup and pure arithmetic per point.
 type Batch struct {
 	c   *Compiled
 	scr scratch
@@ -233,11 +214,6 @@ type Batch struct {
 
 	ge       *geomEntry
 	missRate float64
-
-	// mems holds one MicroMem column per (ROB, MSHRs, L3, clock, prefetch,
-	// missRate) combination seen by this kernel — see memColKey for why
-	// that key makes columns sweep-lifetime valid.
-	mems colCache[memColKey, mlp.MicroMem]
 
 	// Clock-invariant lookup caches local to this single-goroutine kernel.
 	// They serve the values the Compiled memo tables would — geometry per
@@ -274,7 +250,24 @@ func (b *Batch) evaluateInto(cfg *config.Config, res *Result) {
 		b.snapshotPorts(cfg)
 		b.keyValid = true
 	}
-	b.c.finish(cfg, b.ge, b.missRate, b.scr.invs, b.memsFor(cfg), res)
+	mc := cfg.MemConfig()
+	b.c.finish(cfg, b.ge, b.missRate, b.scr.invs, b.memColumn(cfg, mc), mc, res)
+}
+
+// memColumn returns cfg's memory-stage column from the Compiled's shared
+// table, under the branch miss rate of the current invariants: one lookup,
+// whatever the micro-trace count.
+//
+//mipp:hotpath
+func (b *Batch) memColumn(cfg *config.Config, mc memory.Config) []mlp.MicroMem {
+	return b.c.mems.Get(memKey{
+		rob:        cfg.ROB,
+		mshrs:      cfg.MSHRs,
+		latCycles:  mc.LatencyCycles,
+		llcLines:   cfg.L3.Lines(),
+		prefetcher: cfg.Prefetcher,
+		missRate:   b.missRate,
+	})
 }
 
 // invariants is the kernel's clock-invariant stage: the geometry entry,
@@ -296,16 +289,9 @@ func (b *Batch) invariants(cfg *config.Config) (*geomEntry, float64) {
 	if missRate < 0 {
 		missRate = c.model.missRateFor(cfg.Predictor)
 	}
-	prm := c.prm
-	prm.ROB = cfg.ROB
-	prm.MSHRs = cfg.MSHRs
-	prm.L1Lines = float64(cfg.L1D.Lines())
-	prm.L2Lines = float64(cfg.L2.Lines())
-	prm.LLCLines = float64(cfg.L3.Lines())
-	prm.Prefetch = cfg.Prefetcher
 	scr := &b.scr
 	scr.ensureMicros(len(c.micros))
-	mr := b.missRatios(gk, prm)
+	mr := b.missRatios(gk)
 	cps := b.criticalPaths(cfg.ROB)
 	full := c.opts.DispatchModel == DispatchFull
 	var pu []float64
@@ -321,7 +307,7 @@ func (b *Batch) invariants(cfg *config.Config) (*geomEntry, float64) {
 		if full {
 			portD, unitD = pu[2*mi], pu[2*mi+1]
 		}
-		c.microInvariant(mi, cfg, ge, &prm, missRate,
+		c.microInvariant(mi, cfg, ge, missRate,
 			mr[3*mi], mr[3*mi+1], mr[3*mi+2], cps[mi], portD, unitD, &scr.invs[mi])
 	}
 	return ge, missRate
@@ -408,19 +394,20 @@ func (b *Batch) portUnits(cfg *config.Config) []float64 {
 // one cache geometry, cached locally.
 //
 //mipp:hotpath
-func (b *Batch) missRatios(gk geomKey, prm mlp.Params) []float64 {
+func (b *Batch) missRatios(gk geomKey) []float64 {
 	if col, ok := b.mrs.get(gk); ok {
 		return col
 	}
 	col := b.mrs.add(gk, 3*len(b.c.micros))
+	l1, l2, llc := float64(gk.l1d.Lines()), float64(gk.l2.Lines()), float64(gk.l3.Lines())
 	for mi := range b.c.micros {
 		if b.c.micros[mi].Len == 0 {
 			col[3*mi], col[3*mi+1], col[3*mi+2] = 0, 0, 0
 			continue
 		}
-		col[3*mi] = b.c.missRatio(mi, prm.L1Lines)
-		col[3*mi+1] = b.c.missRatio(mi, prm.L2Lines)
-		col[3*mi+2] = b.c.missRatio(mi, prm.LLCLines)
+		col[3*mi] = b.c.missRatio(mi, l1)
+		col[3*mi+1] = b.c.missRatio(mi, l2)
+		col[3*mi+2] = b.c.missRatio(mi, llc)
 	}
 	return col
 }
@@ -492,29 +479,6 @@ func snapshotPortsInto(cfg *config.Config, lens []int, buf []trace.Class) ([]int
 		buf = append(buf, p...)
 	}
 	return lens, buf
-}
-
-// memsFor returns the MicroMem column for cfg's memory-relevant state,
-// computing it at most once per distinct memColKey while cached.
-//
-//mipp:hotpath
-func (b *Batch) memsFor(cfg *config.Config) []mlp.MicroMem {
-	mc := cfg.MemConfig()
-	k := memColKey{
-		rob:        cfg.ROB,
-		mshrs:      cfg.MSHRs,
-		lat:        mc.LatencyCycles,
-		bus:        mc.BusCyclesPerLine,
-		l3:         cfg.L3,
-		prefetcher: cfg.Prefetcher,
-		missRate:   b.missRate,
-	}
-	if col, ok := b.mems.get(k); ok {
-		return col
-	}
-	col := b.mems.add(k, len(b.scr.invs))
-	b.c.computeMems(cfg, b.scr.invs, col)
-	return col
 }
 
 // EvaluateRangeInto evaluates cfgs into br's slots [off, off+len(cfgs)),

@@ -7,8 +7,10 @@ import (
 	"mipp/internal/cache"
 	"mipp/internal/config"
 	"mipp/internal/memo"
+	"mipp/internal/memory"
 	"mipp/internal/mlp"
 	"mipp/internal/perf"
+	"mipp/internal/prefetch"
 	"mipp/internal/profiler"
 	"mipp/internal/stats"
 	"mipp/internal/statstack"
@@ -22,19 +24,20 @@ import (
 // and the config-invariant MLP parameter template; lazily it memoizes the
 // quantities that depend on only a slice of the configuration — the
 // per-cache-geometry StatStack prediction (so sweeps that vary only
-// frequency, width or ROB never touch StatStack again), per-micro
-// miss-ratio lookups, dependence-chain interpolations, branch-resolution
-// fixpoints and merged load-dependence histograms.
+// frequency, width or ROB never touch StatStack again), the memory stage's
+// per-micro MicroMem column per memory configuration, per-micro miss-ratio
+// lookups, dependence-chain interpolations, branch-resolution fixpoints and
+// merged load-dependence histograms.
 //
 // A Compiled is safe for concurrent use. Evaluation results are
 // byte-identical regardless of which configurations were evaluated before:
 // every memoized function is deterministic in its key, so a cache hit
 // returns exactly what a fresh computation would — and for the same reason
-// every memo table is bounded (maxGeomEntries, maxMemoEntries): past the
-// cap new keys are computed without being stored, trading speed for memory
-// but never changing a result. A long-lived service fed adversarial
-// client-chosen geometries therefore holds bounded state per
-// (workload, option-set) kernel.
+// every memo table is bounded (maxGeomEntries, maxMemEntries,
+// maxMemoEntries): past the cap new keys are computed without being stored,
+// trading speed for memory but never changing a result. A long-lived
+// service fed adversarial client-chosen geometries therefore holds bounded
+// state per (workload, option-set) kernel.
 type Compiled struct {
 	model *Model
 	opts  Options
@@ -47,14 +50,17 @@ type Compiled struct {
 	mcs        []*mlp.Compiled
 
 	curves *statstack.CurveSet
-	// prm is the config-invariant part of the MLP parameter set; evaluate
-	// fills in the per-config fields.
+	// prm is the config-invariant part of the MLP parameter set (load
+	// fraction and mode); memColumn fills in the rest from a memKey.
 	prm mlp.Params
 	// mix is the profile-level uop-class mix consumed by the activity
 	// factors.
 	mix [trace.NumClasses]float64
 
-	geoms    *memo.Table[geomKey, *geomEntry]
+	geoms *memo.Table[geomKey, *geomEntry]
+	// mems maps a memory configuration to its per-micro MicroMem column:
+	// one lookup per evaluated configuration, shared by every kernel.
+	mems     *memo.Table[memKey, []mlp.MicroMem]
 	microMR  *memo.Table[microLinesKey, float64]
 	chains   *memo.Table[microROBKey, [3]float64]
 	branches *memo.Table[branchKey, [2]float64]
@@ -76,6 +82,10 @@ const (
 	// maxGeomEntries bounds the per-geometry StatStack predictions — the
 	// heaviest entries (three LevelStats plus derived rates each).
 	maxGeomEntries = 256
+	// maxMemEntries bounds the memory-stage columns (one MicroMem per
+	// micro-trace each). The 122,880-point wide search space has 2,560
+	// memory keys and Table 6.3 has 27.
+	maxMemEntries = 1 << 14
 	// maxMemoEntries bounds each of the scalar memo tables (miss ratios,
 	// chain interpolations, branch-resolution fixpoints).
 	maxMemoEntries = 1 << 16
@@ -92,6 +102,20 @@ type geomKey struct {
 type geomEntry struct {
 	pred            *statstack.Prediction
 	storeMissPerUop float64
+}
+
+// memKey carries every input the memory stage reads: the window, the MSHR
+// count, the DRAM latency in cycles (the clock enters only through it), the
+// LLC line count, the prefetcher and the branch miss rate, from which each
+// micro-trace's misprediction distance follows. The load fraction and MLP
+// mode are fixed per Compiled. No MLP model reads the L1/L2 line counts,
+// the bus occupancy or the dispatch rate, so they are not part of the key.
+type memKey struct {
+	rob, mshrs int
+	latCycles  int
+	llcLines   int64
+	prefetcher prefetch.Config
+	missRate   float64
 }
 
 type microLinesKey struct {
@@ -132,6 +156,7 @@ func newCompiled(m *Model, opts Options) *Compiled {
 		mix:        p.Mix(),
 	}
 	c.geoms = memo.New(maxGeomEntries, c.predictGeometry)
+	c.mems = memo.New(maxMemEntries, c.memColumn)
 	c.microMR = memo.New(maxMemoEntries, func(k microLinesKey) float64 {
 		return statstack.MissRatioForMicro(curves.Curve, micros[k.micro], k.lines)
 	})
@@ -159,13 +184,13 @@ type CompiledStats struct {
 	// MissRatioComputes counts per-micro miss-ratio queries against the
 	// reuse curve.
 	MissRatioComputes uint64
-	// MissMarkBuilds, DepthBuilds and MLPComputes aggregate the per-micro
-	// MLP caches: stride-MLP miss-mark sets (one per LLC line count) and
-	// depth columns (one per profiled-ROB index) computed, and full
-	// MLP-model evaluations.
+	// MemColumns counts memory-stage columns computed, one per memKey.
+	MemColumns uint64
+	// MissMarkBuilds and DepthBuilds aggregate the per-micro stride-MLP
+	// caches: miss-mark sets (one per LLC line count) and depth columns
+	// (one per profiled-ROB index) computed.
 	MissMarkBuilds uint64
 	DepthBuilds    uint64
-	MLPComputes    uint64
 }
 
 // Stats snapshots the memo-table counters.
@@ -173,12 +198,12 @@ func (c *Compiled) Stats() CompiledStats {
 	s := CompiledStats{
 		StatStackPredicts: c.geoms.Computes(),
 		MissRatioComputes: c.microMR.Computes(),
+		MemColumns:        c.mems.Computes(),
 	}
 	for _, mc := range c.mcs {
-		mm, d, e := mc.Stats()
+		mm, d := mc.Stats()
 		s.MissMarkBuilds += mm
 		s.DepthBuilds += d
-		s.MLPComputes += e
 	}
 	return s
 }
@@ -292,42 +317,43 @@ func (c *Compiled) putBatch(b *Batch) {
 }
 
 // microInv is the clock-invariant share of one micro-trace's evaluation:
-// every CPI component except DRAM, the effective dispatch rate, the
-// predicted LLC load misses, and the MLP parameter set minus its two
-// frequency-derived fields (MemLatency, BusPerLine — patched in by
-// computeMems). The DVFS fast path computes these once per distinct
-// non-clock configuration and re-runs only computeMems + finish per clock.
+// every CPI component except DRAM, the effective dispatch rate and the
+// predicted LLC load misses. The DVFS fast path computes these once per
+// distinct non-clock configuration and re-runs only the memory-column
+// lookup and finish per clock.
 type microInv struct {
 	stack   perf.CPIStack
 	deff    float64
 	misses  float64
 	limiter int
 	skip    bool // zero-length micro-trace: contributes nothing
-	prm     mlp.Params
 }
 
-// computeMems runs the frequency-dependent MLP model query for every
-// micro-trace: the invariant parameter set patched with the DRAM latency
-// and bus occupancy the configuration's clock implies, plus the prefetcher
-// setting. Prefetch is patched here, not baked into the invariants, because
-// no clock-invariant stage reads it — which lets the batch kernel's fast
-// path treat the prefetcher like a second clock axis and reuse invariants
-// across a prefetcher toggle.
-//
-//mipp:hotpath
-func (c *Compiled) computeMems(cfg *config.Config, invs []microInv, mems []mlp.MicroMem) {
-	mem := cfg.MemConfig()
-	for mi := range invs {
-		if invs[mi].skip {
-			mems[mi] = mlp.MicroMem{}
+// memColumn runs the MLP models of every micro-trace for one memory
+// configuration, from the key alone; a zero-length micro-trace gets a zero
+// MicroMem. The column is stored in c.mems and read by every kernel, so it
+// is never written after this returns.
+func (c *Compiled) memColumn(k memKey) []mlp.MicroMem {
+	col := make([]mlp.MicroMem, len(c.micros))
+	prm := c.prm
+	prm.ROB = k.rob
+	prm.MSHRs = k.mshrs
+	prm.MemLatency = k.latCycles
+	prm.LLCLines = float64(k.llcLines)
+	prm.Prefetch = k.prefetcher
+	for mi, micro := range c.micros {
+		if micro.Len == 0 {
 			continue
 		}
-		prm := invs[mi].prm
-		prm.MemLatency = mem.LatencyCycles
-		prm.BusPerLine = mem.BusCyclesPerLine
-		prm.Prefetch = cfg.Prefetcher
-		mems[mi] = c.mcs[mi].Evaluate(prm)
+		// A misprediction drains the window: the MLP models see the
+		// micro-trace's mean distance between mispredictions.
+		prm.MispredictEvery = 0
+		if mispred := float64(micro.Branches) * k.missRate; mispred > 0 {
+			prm.MispredictEvery = float64(micro.Len) / mispred
+		}
+		col[mi] = c.mcs[mi].Evaluate(prm)
 	}
+	return col
 }
 
 // finish combines the per-micro invariants with their per-clock MicroMem
@@ -336,9 +362,8 @@ func (c *Compiled) computeMems(cfg *config.Config, invs []microInv, mems []mlp.M
 // (re)assigned, and MicroCPI is appended into its existing capacity.
 //
 //mipp:hotpath
-func (c *Compiled) finish(cfg *config.Config, ge *geomEntry, missRate float64, invs []microInv, mems []mlp.MicroMem, res *Result) {
+func (c *Compiled) finish(cfg *config.Config, ge *geomEntry, missRate float64, invs []microInv, mems []mlp.MicroMem, mem memory.Config, res *Result) {
 	p := c.model.Profile
-	mem := cfg.MemConfig()
 	res.Config = cfg.Name
 	res.Workload = p.Workload
 	res.Cycles = 0
@@ -394,17 +419,15 @@ func (c *Compiled) finish(cfg *config.Config, ge *geomEntry, missRate float64, i
 
 // microInvariant applies the clock-invariant part of Equation 3.1 to one
 // micro-trace: miss ratios, dispatch rate, base, branch, I-cache and
-// chained-LLC-hit components, and the MLP parameter set short of the
-// frequency-derived fields. The memoized or mix-derived per-micro inputs —
-// the raw L1/L2/LLC load miss ratios, the critical path CP at cfg.ROB, and
-// the port/unit dispatch bounds — are computed by the caller,
-// which serves them from the batch kernel's lock-free local caches. The
-// result is written into out (a reused scr.invs slot), and prm's per-micro
-// fields (MispredictEvery, DispatchRate) are unconditionally reassigned, so
-// one caller-owned Params template serves every micro.
+// chained-LLC-hit components, and the predicted LLC load misses. The
+// memoized or mix-derived per-micro inputs — the raw L1/L2/LLC load miss
+// ratios, the critical path CP at cfg.ROB, and the port/unit dispatch
+// bounds — are computed by the caller, which serves them from the batch
+// kernel's lock-free local caches. The result is written into out (a
+// reused scr.invs slot).
 //
 //mipp:hotpath
-func (c *Compiled) microInvariant(mi int, cfg *config.Config, ge *geomEntry, prm *mlp.Params, missRate float64, mrL1, mrL2, mrLLC, cp, portD, unitD float64, out *microInv) {
+func (c *Compiled) microInvariant(mi int, cfg *config.Config, ge *geomEntry, missRate float64, mrL1, mrL2, mrLLC, cp, portD, unitD float64, out *microInv) {
 	micro := c.micros[mi]
 	n := float64(micro.Len)
 	*out = microInv{}
@@ -454,9 +477,6 @@ func (c *Compiled) microInvariant(mi int, cfg *config.Config, ge *geomEntry, prm
 			resolution = 0
 		}
 		inv.stack.Cycles[perf.BranchComp] = mispred * (resolution + float64(cfg.FrontEndDepth))
-		prm.MispredictEvery = n / mispred
-	} else {
-		prm.MispredictEvery = 0
 	}
 
 	// I-cache component: misses resolved from L2.
@@ -465,17 +485,15 @@ func (c *Compiled) microInvariant(mi int, cfg *config.Config, ge *geomEntry, prm
 		inv.stack.Cycles[perf.ICache] = icMisses * float64(cfg.L2.LatencyCycles)
 	}
 
-	// The memory component itself is frequency-dependent (computeMems /
-	// microFinish); what is invariant is the fully-specified parameter
-	// set short of MemLatency/BusPerLine, and the predicted miss count.
-	prm.DispatchRate = deff
+	// The memory component itself is frequency-dependent (the memory
+	// column and microFinish); what is invariant is the predicted miss
+	// count.
 	inv.misses = mrLLC * float64(micro.LoadCount)
 
 	// Chained LLC hits (§4.8, Eq 4.7-4.12).
 	if !c.opts.NoLLCChain {
 		inv.stack.Cycles[perf.LLCHit] = c.llcChainPenalty(mi, cfg, deff, mrL2, mrLLC)
 	}
-	inv.prm = *prm
 }
 
 // microFinish completes Equation 3.1 for one micro-trace: the DRAM

@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"mipp/internal/config"
 	"mipp/internal/mlp"
+	"mipp/internal/prefetch"
 )
 
 // TestGeometryMemoOnePredictPerGeometry pins the miss-ratio memo table:
@@ -274,5 +276,98 @@ func TestModelEvaluateSharesCompiledKernel(t *testing.T) {
 	other.NoLLCChain = true
 	if m.Compile(other) == m.Compile(DefaultOptions()) {
 		t.Fatal("distinct option sets share a kernel")
+	}
+}
+
+// TestMemColumnMatchesEvaluate holds the shared memory-column table to the
+// one-shot MLP model: for every configuration, each micro-trace's entry in
+// the column the kernel read must equal mlp.Evaluate bit for bit, called
+// with the full parameter set the core model derives — L1/L2 line counts,
+// bus cycles and dispatch rate included, though the column key leaves them
+// out. The configurations are Table 6.3 plus seeded wide-space points whose
+// MSHR count and predictor vary, and the Model fits two predictors to
+// different miss rates, so a column shared across MSHR counts or miss rates
+// would be read by a configuration it does not belong to. One goroutine
+// computes exactly one column per distinct memory key.
+func TestMemColumnMatchesEvaluate(t *testing.T) {
+	fits := map[string]func(float64) float64{
+		"tournament": func(e float64) float64 { return e / 2 },
+		"gshare":     func(e float64) float64 { return 4 * e },
+	}
+	cfgs := config.DesignSpace()
+	space := wideSpace()
+	rng := rand.New(rand.NewSource(20))
+	for i := 0; i < 300; i++ {
+		cfg := space.At(rng.Intn(space.Size()))
+		cfg.MSHRs = []int{1, 2, 4, 10}[rng.Intn(4)]
+		cfg.Predictor = []string{"tournament", "gshare"}[rng.Intn(2)]
+		cfgs = append(cfgs, cfg)
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	// key lists what the memory stage reads, apart from the Compiled.
+	type key struct {
+		rob, mshrs, lat int
+		llcLines        int64
+		prefetcher      prefetch.Config
+		missRate        float64
+	}
+	for _, name := range []string{"gcc", "milc"} {
+		p := modelFor(t, name, 40_000).Profile
+		for _, opts := range []Options{
+			DefaultOptions(),
+			{MLPMode: mlp.ColdMiss, BranchMissRate: -1},
+			{MLPMode: mlp.None, BranchMissRate: -1},
+			{MLPMode: mlp.StrideMLP, BranchMissRate: 0.3},
+		} {
+			m := New(p, fits)
+			c := m.Compile(opts)
+			b := &Batch{c: c}
+			keys := make(map[key]bool)
+			for _, cfg := range cfgs {
+				evaluateOn(b, cfg)
+				mem := cfg.MemConfig()
+				col := b.memColumn(cfg, mem)
+				missRate := opts.BranchMissRate
+				if missRate < 0 {
+					missRate = m.missRateFor(cfg.Predictor)
+				}
+				keys[key{cfg.ROB, cfg.MSHRs, mem.LatencyCycles, cfg.L3.Lines(), cfg.Prefetcher, missRate}] = true
+				for mi, micro := range c.micros {
+					if micro.Len == 0 {
+						if col[mi] != (mlp.MicroMem{}) {
+							t.Fatalf("%s, opts %+v, %s: empty micro %d has %+v", name, opts, cfg.Name, mi, col[mi])
+						}
+						continue
+					}
+					prm := mlp.Params{
+						ROB:          cfg.ROB,
+						MSHRs:        cfg.MSHRs,
+						MemLatency:   mem.LatencyCycles,
+						BusPerLine:   mem.BusCyclesPerLine,
+						L1Lines:      float64(cfg.L1D.Lines()),
+						L2Lines:      float64(cfg.L2.Lines()),
+						LLCLines:     float64(cfg.L3.Lines()),
+						LoadFrac:     p.LoadFrac(),
+						Prefetch:     cfg.Prefetcher,
+						Mode:         opts.MLPMode,
+						DispatchRate: b.scr.invs[mi].deff,
+					}
+					if mispred := float64(micro.Branches) * missRate; mispred > 0 {
+						prm.MispredictEvery = float64(micro.Len) / mispred
+					}
+					got, want := col[mi], mlp.Evaluate(p, micro, c.curves.Curve, prm)
+					if !same(got.Loads, want.Loads) || !same(got.MissPerLoad, want.MissPerLoad) ||
+						!same(got.MLP, want.MLP) || !same(got.RawMLP, want.RawMLP) ||
+						!same(got.PrefetchTimely, want.PrefetchTimely) ||
+						!same(got.PrefetchPartial, want.PrefetchPartial) ||
+						!same(got.PartialSpacing, want.PartialSpacing) {
+						t.Fatalf("%s, opts %+v, %s, micro %d: column %+v, mlp.Evaluate %+v", name, opts, cfg.Name, mi, got, want)
+					}
+				}
+			}
+			if got := c.Stats().MemColumns; got != uint64(len(keys)) {
+				t.Errorf("%s, opts %+v: %d memory columns computed for %d distinct keys", name, opts, got, len(keys))
+			}
+		}
 	}
 }

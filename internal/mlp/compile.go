@@ -17,43 +17,36 @@ import (
 // bitset per line count; the dependence depths depend only on the
 // profiled-ROB index the window quantizes to and are kept as one column per
 // index. A design-space or DVFS sweep therefore pays for a handful of
-// bitsets and columns, not one stream per (LLC size, ROB) pair. Full model
-// evaluations are additionally memoized on the subset of Params the models
-// actually read; that key includes the memory latency in cycles (mshrCap
-// reads it), which scales with frequency, so the points of a DVFS sweep
-// share the columns but still pay the (cheap) prefetcher/abstract-ROB walks
-// — only exact geometry/window/latency repeats are outright free.
+// bitsets and columns, not one stream per (LLC size, ROB) pair. Evaluate
+// itself is not memoized: its caller keys whole configurations (core keeps
+// one column of every micro-trace's MicroMem per memory configuration), so
+// a per-micro memo here would only add a second lookup per micro-trace.
 //
 // A Compiled is safe for concurrent use; results are byte-identical to the
-// package-level Evaluate for the same inputs. The memo tables are bounded
-// (maxColumnEntries, maxEvalEntries): past the cap new keys are recomputed
-// per call instead of cached, so a long-lived service holds bounded state.
+// package-level Evaluate for the same inputs. The column tables are bounded
+// (maxColumnEntries): past the cap new keys are recomputed per call instead
+// of cached, so a long-lived service holds bounded state.
 type Compiled struct {
 	p     *profiler.Profile
 	m     *profiler.Micro
 	curve *statstack.Curve
 
 	base      func() *baseStream
-	evals     *memo.Table[Params, MicroMem]
 	missMarks *memo.Table[float64, []uint64]
 	depths    *memo.Table[int, depthColumn]
 }
 
-// Memo bounds per micro-trace: a miss-mark set costs a bit per load and a
-// depth column 4 bytes per load; evals are scalar. Real sweeps stay far
-// below all three; the caps keep a daemon serving arbitrary client
+// maxColumnEntries bounds each column table per micro-trace: a miss-mark
+// set costs a bit per load and a depth column 4 bytes per load. Real sweeps
+// stay far below it; the cap keeps a daemon serving arbitrary client
 // geometries bounded.
-const (
-	maxColumnEntries = 64
-	maxEvalEntries   = 1 << 14
-)
+const maxColumnEntries = 64
 
 // Compile prepares the MLP models of one micro-trace for repeated
 // evaluation against many configurations.
 func Compile(p *profiler.Profile, m *profiler.Micro, curve *statstack.Curve) *Compiled {
 	c := &Compiled{p: p, m: m, curve: curve}
 	c.base = sync.OnceValue(func() *baseStream { return buildBase(m) })
-	c.evals = memo.New(maxEvalEntries, c.evaluate)
 	c.missMarks = memo.New(maxColumnEntries, func(llcLines float64) []uint64 {
 		return missMarks(p, m, curve, c.base(), llcLines)
 	})
@@ -63,30 +56,19 @@ func Compile(p *profiler.Profile, m *profiler.Micro, curve *statstack.Curve) *Co
 	return c
 }
 
-// Stats reports how much work the memo tables absorbed: the miss-mark sets
-// (one per LLC line count) and depth columns (one per profiled-ROB index)
-// computed, and the full model evaluations that missed the memo.
-func (c *Compiled) Stats() (missMarkBuilds, depthBuilds, computes uint64) {
-	return c.missMarks.Computes(), c.depths.Computes(), c.evals.Computes()
+// Stats reports how much work the column tables absorbed: the miss-mark
+// sets (one per LLC line count) and depth columns (one per profiled-ROB
+// index) computed.
+func (c *Compiled) Stats() (missMarkBuilds, depthBuilds uint64) {
+	return c.missMarks.Computes(), c.depths.Computes()
 }
 
-// Evaluate predicts the memory behaviour of the micro-trace, memoized on
-// the Params fields the models read.
+// Evaluate predicts the memory behaviour of the micro-trace, with the
+// stride path served from the base stream and its column tables. The
+// models read ROB, MSHRs, MemLatency, LLCLines, LoadFrac, Prefetch, Mode
+// and MispredictEvery; L1Lines, L2Lines, BusPerLine and DispatchRate do
+// not reach the result.
 func (c *Compiled) Evaluate(prm Params) MicroMem {
-	// Fields no MLP model reads must not fragment the memo; zeroing them
-	// here is what makes a frequency or width sweep hit the cache. The
-	// models see the zeroed key, so a model that starts reading one of
-	// these reads zero: remove it from this list first.
-	prm.DispatchRate = 0
-	prm.BusPerLine = 0
-	prm.L1Lines = 0
-	prm.L2Lines = 0
-	return c.evals.Get(prm)
-}
-
-// evaluate mirrors the package-level Evaluate, with the stride path served
-// from the base stream and its column tables.
-func (c *Compiled) evaluate(prm Params) MicroMem {
 	out := MicroMem{Loads: float64(c.m.LoadCount)}
 	out.MissPerLoad = statstack.MissRatioForMicro(c.curve, c.m, prm.LLCLines)
 	switch prm.Mode {

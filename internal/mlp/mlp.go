@@ -108,10 +108,10 @@ type MicroMem struct {
 
 // Evaluate predicts the memory behaviour of one micro-trace. It is the
 // one-shot entry point: callers evaluating the same micro-trace against
-// many configurations should Compile once and reuse the Compiled's memo
+// many configurations should Compile once and reuse the Compiled's column
 // tables instead.
 func Evaluate(p *profiler.Profile, m *profiler.Micro, curve *statstack.Curve, prm Params) MicroMem {
-	return Compile(p, m, curve).evaluate(prm)
+	return Compile(p, m, curve).Evaluate(prm)
 }
 
 // mshrCap applies the soft MSHR cap of Equation 4.4. The DRAM_MSHR parallel

@@ -109,40 +109,86 @@ func benchSearch(b *testing.B, st search.Strategy, budget int) {
 // within 1.2×; the CI floor carries noise margin — see ci.yml), so that
 // layer cannot quietly grow overhead on the hot path.
 func BenchmarkSearchEvaluatorKernel(b *testing.B) {
+	benchEvaluator(b, benchSpace(), 1)
+}
+
+// BenchmarkSearchEvaluatorWide is the kernel baseline's evaluator on the
+// shape a search over examples/search's 122,880-point space hands it:
+// eight seeded 2048-config generations of that space, in turn. The space
+// has 2,560 distinct memory configurations (ROB × L3 × clock × prefetcher)
+// against benchSpace's 256, so CI holds this bench's evals/s against the
+// kernel baseline's: a memory stage whose cost grows once a search leaves a
+// small grid shows as a falling ratio.
+func BenchmarkSearchEvaluatorWide(b *testing.B) {
+	benchEvaluator(b, wideSpace(), 8)
+}
+
+// wideSpace is examples/search's 122,880-point space.
+func wideSpace() *arch.Space {
+	return &arch.Space{
+		Name:   "wide-123k",
+		Widths: []int{1, 2, 3, 4, 5, 6},
+		ROBs:   []int{16, 24, 32, 48, 64, 80, 96, 112, 128, 160, 192, 224, 256, 320, 384, 512},
+		L2Bytes: []int64{64 << 10, 128 << 10, 256 << 10, 512 << 10,
+			1 << 20, 2 << 20, 4 << 20, 8 << 20},
+		L3Bytes: []int64{1 << 20, 2 << 20, 4 << 20, 8 << 20,
+			16 << 20, 32 << 20, 64 << 20, 128 << 20},
+		Clocks: []arch.DVFSPoint{
+			{FrequencyGHz: 1.2, VoltageV: 0.85}, {FrequencyGHz: 1.6, VoltageV: 0.95},
+			{FrequencyGHz: 2.0, VoltageV: 1.0}, {FrequencyGHz: 2.2, VoltageV: 1.03},
+			{FrequencyGHz: 2.4, VoltageV: 1.05}, {FrequencyGHz: 2.66, VoltageV: 1.1},
+			{FrequencyGHz: 2.8, VoltageV: 1.13}, {FrequencyGHz: 3.0, VoltageV: 1.16},
+			{FrequencyGHz: 3.2, VoltageV: 1.2}, {FrequencyGHz: 3.33, VoltageV: 1.25},
+		},
+		Prefetcher: []bool{false, true},
+	}
+}
+
+// benchEvaluator feeds the search evaluator nGens seeded 2048-config
+// generations of space, one per iteration in turn: each a random distinct
+// sample in ascending order, materialized from the space every time. Every
+// generation is evaluated once before the timer starts, so the memo tables
+// are warm.
+func benchEvaluator(b *testing.B, space *arch.Space, nGens int) {
 	pd := benchPd(b)
-	space := benchSpace()
 	ev := mipp.NewSearchEvaluator(pd, 0)
 	ctx := context.Background()
 
 	n := space.Size()
 	const gen = 2048
 	rng := rand.New(rand.NewSource(1))
-	drawn := make(map[int]struct{}, gen)
-	indices := make([]int, 0, gen)
-	for len(indices) < gen {
-		i := rng.Intn(n)
-		if _, ok := drawn[i]; !ok {
-			drawn[i] = struct{}{}
-			indices = append(indices, i)
+	gens := make([][]int, nGens)
+	for g := range gens {
+		drawn := make(map[int]struct{}, gen)
+		indices := make([]int, 0, gen)
+		for len(indices) < gen {
+			i := rng.Intn(n)
+			if _, ok := drawn[i]; !ok {
+				drawn[i] = struct{}{}
+				indices = append(indices, i)
+			}
 		}
+		slices.Sort(indices)
+		gens[g] = indices
 	}
-	slices.Sort(indices)
 	configs := make([]*arch.Config, gen)
-	fill := func() {
+	fill := func(indices []int) {
 		for i, idx := range indices {
 			configs[i] = space.At(idx)
 		}
 	}
-	fill()
-	if _, err := ev(ctx, configs); err != nil {
-		b.Fatal(err)
+	for _, indices := range gens {
+		fill(indices)
+		if _, err := ev(ctx, configs); err != nil {
+			b.Fatal(err)
+		}
 	}
 
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fill()
+		fill(gens[i%nGens])
 		if _, err := ev(ctx, configs); err != nil {
 			b.Fatal(err)
 		}

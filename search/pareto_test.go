@@ -1,12 +1,13 @@
 package search
 
-// Differential test for the staircase paretoFront against a straightforward
-// sort-and-sweep reference, over adversarial randomized inputs (duplicated
-// times, duplicated points, infeasible mixes, quantized values so exact
-// float ties actually occur).
+// Differential test for the runner's Pareto staircase against a
+// straightforward sort-and-sweep reference, over adversarial randomized
+// inputs (duplicated times, duplicated points, infeasible mixes, quantized
+// values so exact float ties actually occur).
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -41,6 +42,12 @@ func referenceFront(evals []Eval) []Eval {
 	return front
 }
 
+// TestParetoFrontMatchesReference folds each trial's evals into a staircase
+// twice: all at once, as a report without an OnUpdate sink does, and in
+// random-sized chunks, as the runner does once per generation. After every
+// chunk the front must equal the reference over that prefix, fold must
+// report a change exactly when the front differs from the one before, and
+// no front the staircase handed out may change afterwards.
 func TestParetoFrontMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -55,15 +62,36 @@ func TestParetoFrontMatchesReference(t *testing.T) {
 				Feasible:    rng.Intn(4) != 0,
 			}
 		}
-		got := paretoFront(evals)
-		want := referenceFront(evals)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: front size %d, want %d\ngot  %+v\nwant %+v",
-				trial, len(got), len(want), got, want)
+		var whole staircase
+		whole.fold(evals)
+		if got, want := whole.snapshot(evals), referenceFront(evals); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: front\n%+v\nwant\n%+v", trial, got, want)
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: front[%d] = %+v, want %+v", trial, i, got[i], want[i])
+
+		chunks := rand.New(rand.NewSource(int64(trial)))
+		var s staircase
+		var published, copies [][]Eval
+		prev := []Eval{}
+		for hi := 0; hi < n; {
+			hi = min(n, hi+1+chunks.Intn(24))
+			changed := s.fold(evals[:hi])
+			got, want := s.snapshot(evals[:hi]), referenceFront(evals[:hi])
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d, prefix %d: front\n%+v\nwant\n%+v", trial, hi, got, want)
+			}
+			if changed == slices.Equal(got, prev) {
+				t.Fatalf("trial %d, prefix %d: fold reported changed=%v, front went from %+v to %+v",
+					trial, hi, changed, prev, got)
+			}
+			if changed {
+				published = append(published, got)
+				copies = append(copies, slices.Clone(got))
+			}
+			prev = got
+		}
+		for i := range published {
+			if !slices.Equal(published[i], copies[i]) {
+				t.Fatalf("trial %d: published front %d changed after later folds", trial, i)
 			}
 		}
 	}

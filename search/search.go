@@ -130,9 +130,9 @@ type Options struct {
 	// step just recorded, the incumbent, and — only on generations where
 	// it changed — the Pareto front over everything evaluated so far. It
 	// is the streaming sink behind SSE search events; like OnProgress it
-	// must not block. Leaving it nil costs nothing: the incremental front
-	// is only computed while a sink is attached, and the final Report is
-	// assembled the same way either way.
+	// must not block. Leaving it nil costs nothing: the runner's Pareto
+	// staircase is then extended only once, for the final Report, which
+	// reads the same staircase either way.
 	OnUpdate func(Update)
 	// EscalateTopK, with OnEscalate set, hands the report's top-K
 	// evaluations (the incumbent plus the best Pareto-front points, in
@@ -165,7 +165,8 @@ type Update struct {
 	Best Eval
 	// Front is the Pareto front over every feasible point evaluated so
 	// far, set only on generations where it changed (nil otherwise). The
-	// slice is freshly built per emission; consumers may retain it.
+	// slice is freshly built per emission and never written by the runner
+	// again; consumers may retain it.
 	Front []Eval
 }
 
@@ -316,10 +317,10 @@ type Runner struct {
 	// generations (see Evaluate's reuse contract).
 	outScratch []Eval
 
-	// lastFront is the most recently emitted incremental front, used to
-	// suppress no-change emissions; only maintained while Options.OnUpdate
-	// is set.
-	lastFront []Eval
+	// front is the Pareto staircase over the evals folded so far: extended
+	// after every generation while Options.OnUpdate is set, and once more
+	// for the report.
+	front staircase
 }
 
 // seenSlabMax bounds the memo slab at 16 MiB of int32; spaces larger than
@@ -506,10 +507,8 @@ func (r *Runner) Evaluate(ctx context.Context, indices []int) ([]Eval, error) {
 		if r.best >= 0 {
 			u.Best = r.evals[r.best]
 		}
-		front := paretoFront(r.evals)
-		if !equalFronts(front, r.lastFront) {
-			r.lastFront = front
-			u.Front = front
+		if r.front.fold(r.evals) {
+			u.Front = r.front.snapshot(r.evals)
 		}
 		r.opts.OnUpdate(u)
 	}
@@ -580,26 +579,33 @@ func (r *Runner) report(strategy string) *Report {
 		best := r.evals[r.best]
 		rep.Best = &best
 	}
-	rep.Front = paretoFront(r.evals)
+	r.front.fold(r.evals)
+	rep.Front = r.front.snapshot(r.evals)
 	return rep
 }
 
-// paretoFront returns the non-dominated feasible subset on (time, power),
-// sorted by time, with deterministic index tie-breaking (on exact
-// time/power ties the smallest space index wins) — the same front
-// internal/dse computes, kept index-aware so entries retain their space
-// position. Infeasible evals are skipped here rather than copied out by
-// the caller, so assembling a report never duplicates the memo.
+// staircase is the Pareto front of a growing eval memo: the non-dominated
+// feasible subset on (time, power), sorted by time, with deterministic
+// index tie-breaking (on exact time/power ties the smallest space index
+// wins) — the same front internal/dse computes, kept index-aware so
+// entries retain their space position. The front is a pure function of
+// the set of evals, so folding them in any order or in any chunks yields
+// the same staircase.
 //
-// The front is built as an incremental staircase rather than by sorting
-// the whole memo: it stays ordered by time ascending with power strictly
-// descending along it, and each candidate either falls to one
-// binary-search dominance probe or splices in, evicting the members it
-// now dominates. Fronts are small (tens of points for thousands of
-// evals), so this is O(n log k) against the sort's O(n log n) — on the
-// search hot path the full sort was the driver's single largest overhead
-// over the raw kernel. frontKey keeps the staircase compact: three words
-// per member instead of a wide Eval.
+// It stays ordered by time ascending with power strictly descending, and
+// each candidate either falls to one binary-search dominance probe or
+// splices in, evicting the members it now dominates. Fronts are small
+// (tens of points for thousands of evals), so folding n evals costs
+// O(n log k), and the Runner folds each eval once: a per-generation
+// update pays only for that generation's evals, not for the whole memo
+// again. frontKey keeps the staircase compact: three words per member
+// instead of a wide Eval, with the member's position in the memo.
+type staircase struct {
+	keys []frontKey
+	// folded is how many evals of the memo the staircase has seen.
+	folded int
+}
+
 type frontKey struct {
 	t, w float64
 	i    int32
@@ -607,24 +613,31 @@ type frontKey struct {
 
 func frontKeyByTime(a, b frontKey) int { return cmp.Compare(a.t, b.t) }
 
+// fold extends the staircase with evals[s.folded:] and reports whether the
+// front changed. evals must be the memo folded before, grown by appending,
+// and every eval past s.folded must be final. Infeasible evals are skipped
+// here rather than filtered out by the caller, so the memo is never
+// copied.
+//
 //mipp:hotpath
-func paretoFront(evals []Eval) []Eval {
-	var keys []frontKey
-	for i := range evals {
+func (s *staircase) fold(evals []Eval) bool {
+	changed := false
+	for i := s.folded; i < len(evals); i++ {
 		e := &evals[i]
 		if !e.Feasible {
 			continue
 		}
 		p := frontKey{t: e.TimeSeconds, w: e.Watts, i: int32(i)}
-		lo, _ := slices.BinarySearchFunc(keys, p, frontKeyByTime)
-		if lo < len(keys) && keys[lo].t == p.t {
-			m := &keys[lo]
+		lo, _ := slices.BinarySearchFunc(s.keys, p, frontKeyByTime)
+		if lo < len(s.keys) && s.keys[lo].t == p.t {
+			m := &s.keys[lo]
 			if m.w < p.w {
 				continue // dominated: same time, less power already held
 			}
 			if m.w == p.w {
 				if evals[p.i].Index < evals[m.i].Index {
 					m.i = p.i // exact tie: canonical member is the lowest index
+					changed = true
 				}
 				continue
 			}
@@ -632,36 +645,30 @@ func paretoFront(evals []Eval) []Eval {
 			// through to evict any later members p also dominates.
 			*m = p
 		} else {
-			if lo > 0 && keys[lo-1].w <= p.w {
+			if lo > 0 && s.keys[lo-1].w <= p.w {
 				continue // dominated by the staircase member just left of it
 			}
-			keys = slices.Insert(keys, lo, p)
+			s.keys = slices.Insert(s.keys, lo, p)
 		}
+		changed = true
 		hi := lo + 1
-		for hi < len(keys) && keys[hi].w >= p.w {
+		for hi < len(s.keys) && s.keys[hi].w >= p.w {
 			hi++
 		}
-		keys = slices.Delete(keys, lo+1, hi)
+		s.keys = slices.Delete(s.keys, lo+1, hi)
 	}
-	front := make([]Eval, len(keys))
-	for i, k := range keys {
+	s.folded = len(evals)
+	return changed
+}
+
+// snapshot copies the front's evals into a fresh slice. Nothing in the
+// runner writes that slice again, so a caller may publish it.
+func (s *staircase) snapshot(evals []Eval) []Eval {
+	front := make([]Eval, len(s.keys))
+	for i, k := range s.keys {
 		front[i] = evals[k.i]
 	}
 	return front
-}
-
-// equalFronts reports whether two fronts hold the same points (Eval is
-// comparable, and paretoFront output is canonically ordered).
-func equalFronts(a, b []Eval) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Run executes one search: validate, build the runner, let the strategy

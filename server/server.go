@@ -467,11 +467,32 @@ func statusFor(err error) int {
 	return http.StatusInternalServerError
 }
 
+// writeJSON answers status with v as JSON. json.Encoder marshals the whole
+// value before its one Write, so the status goes out with that Write: a
+// value that fails to marshal (a non-finite float, say) answers 500 with an
+// error envelope instead of status with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	sw := statusOnWrite{ResponseWriter: w, status: status}
+	if err := json.NewEncoder(&sw).Encode(v); err != nil && !sw.wrote {
+		writeError(w, http.StatusInternalServerError, err)
+	}
+}
+
+// statusOnWrite writes the status header on the first Write, so nothing is
+// committed before the encoder has a body to send.
+type statusOnWrite struct {
+	http.ResponseWriter
+	status int
+	wrote  bool
+}
+
+func (s *statusOnWrite) Write(p []byte) (int, error) {
+	if !s.wrote {
+		s.wrote = true
+		s.WriteHeader(s.status)
+	}
+	return s.ResponseWriter.Write(p)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

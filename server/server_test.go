@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/json"
 	"log"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -270,6 +271,31 @@ func TestEvaluateNonPositiveClock(t *testing.T) {
 				t.Errorf("want one item error, got %s", rec.Body)
 			}
 		})
+	}
+}
+
+// TestWriteJSONEncodeFailure pins writeJSON's write order: a value that
+// fails to marshal answers 500 with the error envelope, not the intended
+// status with an empty body, and a value that marshals keeps its status and
+// is written as is.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, struct{ X float64 }{math.Inf(1)})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500 (body %q)", rec.Code, rec.Body)
+	}
+	var e api.ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.SchemaVersion != api.SchemaVersion || e.Error == "" {
+		t.Fatalf("body %q is not an error envelope (%v)", rec.Body, err)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type = %q", ct)
+	}
+
+	rec = httptest.NewRecorder()
+	writeJSON(rec, http.StatusAccepted, struct{ X float64 }{1.5})
+	if rec.Code != http.StatusAccepted || rec.Body.String() != "{\"X\":1.5}\n" {
+		t.Fatalf("status %d, body %q; want 202 and {\"X\":1.5}", rec.Code, rec.Body)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -84,14 +85,24 @@ func TestSweepCancellation(t *testing.T) {
 		t.Errorf("cancelled Sweep took %v, want prompt return", elapsed)
 	}
 
-	// Mid-flight cancellation must also come back promptly.
-	ctx2, cancel2 := context.WithCancel(context.Background())
+	// Mid-flight cancellation must also come back promptly. The sweep
+	// pauses in its third context poll, on one worker after its first
+	// chunk is evaluated, until the test has cancelled: the cancel lands
+	// while the sweep runs however fast the kernel is.
+	base, cancel2 := context.WithCancel(context.Background())
+	ctx2 := &pausingCtx{Context: base, at: 3, paused: make(chan struct{})}
 	done := make(chan error, 1)
 	go func() {
 		_, err := mipp.Sweep(ctx2, pred, configs, mipp.WithWorkers(1))
 		done <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
+	select {
+	case <-ctx2.paused:
+	case err := <-done:
+		t.Fatalf("Sweep returned %v before its third context poll", err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("Sweep never reached its third context poll")
+	}
 	cancel2()
 	select {
 	case err := <-done:
@@ -101,6 +112,23 @@ func TestSweepCancellation(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("Sweep did not return after mid-flight cancellation")
 	}
+}
+
+// pausingCtx blocks its at-th Err poll until the context is cancelled, so
+// a test can cancel at a known point inside the sweep.
+type pausingCtx struct {
+	context.Context
+	polls  atomic.Int64
+	at     int64
+	paused chan struct{}
+}
+
+func (c *pausingCtx) Err() error {
+	if c.polls.Add(1) == c.at {
+		close(c.paused)
+		<-c.Done()
+	}
+	return c.Context.Err()
 }
 
 // TestSweepCancellationBatchGranularity asserts Sweep observes cancellation
