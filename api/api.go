@@ -521,13 +521,22 @@ type RegisterProfileRequest struct {
 	Profile json.RawMessage `json:"profile,omitempty"`
 	// Workload names a built-in workload for server-side profiling.
 	Workload string `json:"workload,omitempty"`
-	// Uops is the trace length for server-side profiling.
+	// Uops is the trace length for server-side profiling, at most
+	// MaxProfileUops.
 	Uops int `json:"uops,omitempty"`
 	// Seed is the workload-generator seed (0 = the workload's default).
 	Seed int64 `json:"seed,omitempty"`
 }
 
-// Validate checks version and that exactly one source is given.
+// MaxProfileUops bounds the trace length of server-side profiling. The
+// generator allocates the whole stream up front (about 190 MB at this
+// bound), so an unbounded count lets one request exhaust the server's
+// memory. Longer traces are profiled offline (cmd/aip) and registered as
+// an inline profile.
+const MaxProfileUops = 1 << 22
+
+// Validate checks version, that exactly one source is given, and that a
+// server-side trace length is in (0, MaxProfileUops].
 func (r *RegisterProfileRequest) Validate() error {
 	if err := CheckVersion(r.SchemaVersion); err != nil {
 		return err
@@ -540,6 +549,9 @@ func (r *RegisterProfileRequest) Validate() error {
 	case r.Workload != "":
 		if r.Uops <= 0 {
 			return fmt.Errorf("api: register request for %q needs a positive uops count", r.Workload)
+		}
+		if r.Uops > MaxProfileUops {
+			return fmt.Errorf("api: register request for %q asks for %d uops (max %d profiled server-side); profile longer traces offline with cmd/aip and register the profile inline", r.Workload, r.Uops, MaxProfileUops)
 		}
 		return nil
 	}

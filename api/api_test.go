@@ -174,6 +174,7 @@ func TestRequestValidation(t *testing.T) {
 		&BatchRequest{SchemaVersion: SchemaVersion, Workloads: []string{"w"}, Configs: []ConfigSpec{{Name: "reference"}}},
 		&ParetoRequest{SchemaVersion: SchemaVersion, Workload: "w", Configs: []ConfigSpec{{Name: "reference"}}},
 		&RegisterProfileRequest{SchemaVersion: SchemaVersion, Workload: "w", Uops: 1000},
+		&RegisterProfileRequest{SchemaVersion: SchemaVersion, Workload: "w", Uops: MaxProfileUops},
 		&RegisterProfileRequest{SchemaVersion: SchemaVersion, Profile: json.RawMessage(`{}`)},
 	}
 	for i, r := range valid {
@@ -193,6 +194,7 @@ func TestRequestValidation(t *testing.T) {
 		&RegisterProfileRequest{SchemaVersion: SchemaVersion},
 		&RegisterProfileRequest{SchemaVersion: SchemaVersion, Workload: "w"},
 		&RegisterProfileRequest{SchemaVersion: SchemaVersion, Workload: "w", Uops: 100, Profile: json.RawMessage(`{}`)},
+		&RegisterProfileRequest{SchemaVersion: SchemaVersion, Workload: "w", Uops: MaxProfileUops + 1},
 		&PredictRequest{SchemaVersion: SchemaVersion, Workload: "w", Options: PredictorSpec{MLPMode: "warp"}},
 	}
 	for i, r := range invalid {

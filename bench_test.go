@@ -545,6 +545,35 @@ func BenchmarkPredictColdFill(b *testing.B) {
 	b.ReportMetric(cold.Seconds()*1e3/float64(b.N), "cold-ms/op")
 }
 
+// BenchmarkProfileStream generates and profiles 4 catalog workloads at 100k
+// uops per iteration, timing the two steps apart. uops/s is the profiler's
+// throughput; profile/generate is profiling time over the generation time of
+// the same streams, both measured in this benchmark, so it survives a change
+// of runner; CI gates it as a ceiling.
+func BenchmarkProfileStream(b *testing.B) {
+	const n = 100_000
+	workloads := []string{"mcf", "gcc", "libquantum", "soplex"}
+	pr := mipp.NewProfiler()
+	var gen, prof time.Duration
+	var uops int64
+	for i := 0; i < b.N; i++ {
+		for _, w := range workloads {
+			t0 := time.Now()
+			s, err := mipp.GenerateWorkload(w, n, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			t1 := time.Now()
+			p := pr.ProfileStream(s)
+			prof += time.Since(t1)
+			gen += t1.Sub(t0)
+			uops += p.TotalUops()
+		}
+	}
+	b.ReportMetric(float64(uops)/prof.Seconds(), "uops/s")
+	b.ReportMetric(prof.Seconds()/gen.Seconds(), "profile/generate")
+}
+
 // Chapter 7 — applications.
 
 func BenchmarkFig7_1_LibquantumWhatIf(b *testing.B)   { runExp(b, "fig7.1") }

@@ -1,6 +1,9 @@
 package profiler
 
 import (
+	"fmt"
+	"slices"
+
 	"mipp/internal/stats"
 	"mipp/internal/trace"
 )
@@ -95,76 +98,95 @@ func (c *ChainSet) addWeighted(other *ChainSet, w float64) {
 //
 // The depth of a uop is 1 + the maximum depth among its in-buffer producers
 // (so an independent uop has depth 1), matching the worked example of
-// Figure 3.3. Complexity is O(N·B) per ROB size.
+// Figure 3.3. For a fixed start, a uop's depth depends only on the uops
+// between the start and itself, so a size-B buffer's depths are the first B
+// depths of the largest buffer: each start makes one pass over the largest
+// buffer that fits and reads each size's running sum, maximum and branch
+// sums when the pass reaches that size. Depths are small integers, so their
+// sums are exact in int64 and float64 alike, and every size's result is
+// bit-identical to a separate slide per size (chainsForROB, the tests'
+// reference). Complexity is O(N·B) for the largest size B. A size above
+// len(uops) is clamped to it (one buffer, at start 0); a non-positive size
+// panics.
 func chainBuffers(uops []trace.Uop, robs []int) *ChainSet {
+	checkROBs(robs)
 	out := newChainSet(robs)
+	n := len(uops)
+	if n == 0 {
+		return out
+	}
+	// sizes holds the distinct clamped sizes ascending; slot[ri] is the
+	// index in sizes of robs[ri].
+	sizes := make([]int, 0, len(robs))
+	for _, rob := range robs {
+		sizes = append(sizes, min(rob, n))
+	}
+	slices.Sort(sizes)
+	sizes = slices.Compact(sizes)
+	slot := make([]int, len(robs))
 	for ri, rob := range robs {
-		ap, abp, cp := chainsForROB(uops, rob)
-		out.AP[ri] = ap
-		out.ABP[ri] = abp
-		out.CP[ri] = cp
+		slot[ri], _ = slices.BinarySearch(sizes, min(rob, n))
+	}
+
+	// Per size: AP, ABP and CP summed over buffers, and the number of
+	// buffers holding a branch.
+	type totals struct{ ap, abp, cp, branchBuffers float64 }
+	tot := make([]totals, len(sizes))
+	depth := make([]int32, sizes[len(sizes)-1])
+	for start := 0; start+sizes[0] <= n; start++ {
+		var sum, brSum int64
+		var maxDepth, branches int32
+		j := 0
+		for k, b := range sizes {
+			if start+b > n {
+				break
+			}
+			for ; j < b; j++ {
+				u := &uops[start+j]
+				var d int32
+				if p := int(u.SrcDist1); p > 0 && p <= j {
+					d = depth[j-p]
+				}
+				if p := int(u.SrcDist2); p > 0 && p <= j {
+					d = max(d, depth[j-p])
+				}
+				d++
+				depth[j] = d
+				sum += int64(d)
+				maxDepth = max(maxDepth, d)
+				if u.Class == trace.Branch {
+					branches++
+					brSum += int64(d)
+				}
+			}
+			t := &tot[k]
+			t.ap += float64(sum) / float64(b)
+			t.cp += float64(maxDepth)
+			if branches > 0 {
+				t.abp += float64(brSum) / float64(branches)
+				t.branchBuffers++
+			}
+		}
+	}
+	for ri, k := range slot {
+		t, buffers := tot[k], float64(n-sizes[k]+1)
+		out.AP[ri] = t.ap / buffers
+		out.CP[ri] = t.cp / buffers
+		if t.branchBuffers > 0 {
+			out.ABP[ri] = t.abp / t.branchBuffers
+		}
 	}
 	return out
 }
 
-func chainsForROB(uops []trace.Uop, rob int) (ap, abp, cp float64) {
-	n := len(uops)
-	if n == 0 {
-		return 0, 0, 0
-	}
-	b := rob
-	if b > n {
-		b = n
-	}
-	depth := make([]float64, b)
-	var apSum, abpSum, cpSum float64
-	var buffers, branchBuffers float64
-	// Slide the buffer over [start, start+b).
-	for start := 0; start+b <= n; start++ {
-		var sum, maxDepth, brSum float64
-		branches := 0.0
-		for j := 0; j < b; j++ {
-			i := start + j
-			u := &uops[i]
-			d := 0.0
-			if p := int(u.SrcDist1); p > 0 && p <= j {
-				if dp := depth[j-p]; dp > d {
-					d = dp
-				}
-			}
-			if p := int(u.SrcDist2); p > 0 && p <= j {
-				if dp := depth[j-p]; dp > d {
-					d = dp
-				}
-			}
-			d++
-			depth[j] = d
-			sum += d
-			if d > maxDepth {
-				maxDepth = d
-			}
-			if u.Class == trace.Branch {
-				branches++
-				brSum += d
-			}
+// checkROBs panics on a non-positive ROB size, naming it: no buffer or
+// window of that many uops exists.
+func checkROBs(robs []int) {
+	for _, rob := range robs {
+		if rob <= 0 {
+			panic(fmt.Sprintf("profiler: ROB size %d is not positive", rob))
 		}
-		apSum += sum / float64(b)
-		cpSum += maxDepth
-		if branches > 0 {
-			abpSum += brSum / branches
-			branchBuffers++
-		}
-		buffers++
 	}
-	if buffers == 0 {
-		return 0, 0, 0
-	}
-	ap = apSum / buffers
-	cp = cpSum / buffers
-	if branchBuffers > 0 {
-		abp = abpSum / branchBuffers
-	}
-	return ap, abp, cp
 }
 
 // loadDependenceHistogram computes the inter-load dependence distribution

@@ -13,6 +13,7 @@
 package profiler
 
 import (
+	"slices"
 	"sort"
 
 	"mipp/internal/branch"
@@ -27,7 +28,8 @@ type Options struct {
 	// WindowUops is the sampling period: one micro-trace is collected per
 	// window (default max(10×MicroUops, stream length / 100)).
 	WindowUops int
-	// ROBs is the set of profiled ROB sizes (default StandardROBs()).
+	// ROBs is the set of profiled ROB sizes (default StandardROBs()), in
+	// any order, repeats allowed; Run panics on a size below 1.
 	ROBs []int
 	// LineBytes is the cache-line granularity for memory statistics.
 	LineBytes uint64
@@ -307,6 +309,7 @@ func (p *Profile) LoadDepHistAt(idx int) *stats.Histogram {
 // Run profiles a stream with the given options.
 func Run(s *trace.Stream, opts Options) *Profile {
 	o := opts.withDefaults(s.Len())
+	checkROBs(o.ROBs)
 	p := &Profile{
 		Workload:       s.Name,
 		TotalUops:      int64(s.Len()),
@@ -335,8 +338,11 @@ func Run(s *trace.Stream, opts Options) *Profile {
 	lastIFetch := make(map[uint64]int64)
 	var memIdx, ifIdx int64
 
-	// Cold-per-ROB window counters.
+	// Cold-per-ROB window counters: window r closes after uop coldEnd[r]-1,
+	// and coldNext is the earliest of those ends.
 	coldInWindow := make([]int64, len(o.ROBs))
+	coldEnd := slices.Clone(o.ROBs)
+	coldNext := slices.Min(coldEnd)
 
 	// Reuse bursts, bounded by uop index.
 	burstUops := (s.Len() + o.Bursts - 1) / o.Bursts
@@ -520,11 +526,15 @@ func Run(s *trace.Stream, opts Options) *Profile {
 		}
 
 		// Close cold-per-ROB windows.
-		for r, rob := range o.ROBs {
-			if (i+1)%rob == 0 {
-				p.ColdPerROB[r].Add(coldInWindow[r])
-				coldInWindow[r] = 0
+		if i+1 == coldNext {
+			for r, rob := range o.ROBs {
+				if coldEnd[r] == coldNext {
+					p.ColdPerROB[r].Add(coldInWindow[r])
+					coldInWindow[r] = 0
+					coldEnd[r] += rob
+				}
 			}
+			coldNext = slices.Min(coldEnd)
 		}
 	}
 	flushMicro(s.Len())

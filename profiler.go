@@ -60,7 +60,9 @@ func WithMicroTrace(micro, window int) ProfilerOption {
 }
 
 // WithROBs sets the profiled ROB sizes for the dependence-chain and
-// cold-miss statistics (default: powers of two from 16 to 512).
+// cold-miss statistics (default: every multiple of 16 from 16 to 256). The
+// sizes may come in any order and repeat; profiling panics on a size below
+// 1.
 func WithROBs(robs ...int) ProfilerOption {
 	return func(p *Profiler) { p.opts.ROBs = robs }
 }

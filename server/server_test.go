@@ -142,6 +142,14 @@ func TestHandlerErrorTable(t *testing.T) {
 			wantContains: "unknown mlp_mode",
 		},
 		{
+			// Validate rejects the count before anything is generated.
+			name:   "profile trace over the cap",
+			method: "POST", path: "/v1/profiles",
+			body:       `{"schema_version":1,"workload":"mcf","uops":` + strconv.Itoa(api.MaxProfileUops+1) + `}`,
+			wantStatus: http.StatusBadRequest,
+			wantGolden: `{"schema_version":1,"error":"mipp: bad request: api: register request for \"mcf\" asks for 4194305 uops (max 4194304 profiled server-side); profile longer traces offline with cmd/aip and register the profile inline"}`,
+		},
+		{
 			name:   "method not allowed",
 			method: "GET", path: "/v1/predict",
 			wantStatus: http.StatusMethodNotAllowed,
