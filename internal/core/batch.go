@@ -92,112 +92,88 @@ func (br *BatchResult) Release() {
 // nonClockKey is the comparable projection of a configuration onto the
 // fields the clock-invariant kernel stages read. Two configurations with
 // equal keys (and equal port maps — compared separately because Ports is a
-// slice) produce identical invariants; only MemConfig and the memory
-// column differ, which is exactly what the DVFS fast path re-runs.
+// slice) produce identical clock-invariant stages; only MemConfig and the
+// memory column differ, which is exactly what the DVFS fast path re-runs.
 // FrequencyGHz, VoltageV, Name and Prefetcher are deliberately absent:
 // voltage and the label never reach the core model, and frequency and the
 // prefetcher only enter at the memory stage (the DRAM latency in cycles
 // and the prefetcher are part of memKey), so they are the axes the fast
 // path re-runs cheaply.
 type nonClockKey struct {
-	dispatchWidth int
-	rob           int
-	iq            int
-	lsq           int
-	frontEndDepth int
-	mshrs         int
+	rem   remainder
+	sizes sizes
+}
+
+// remainder is the part of a nonClockKey that neither a core column
+// (dispatch width, ROB) nor a geometry size (L2 and L3 bytes) varies: the FU
+// table, L1I and L1D, the L2 and L3 latency and shape, front-end depth,
+// memory timing and predictor. The port map belongs to it too and is
+// compared by content beside it. A Compiled interns the few remainders it
+// sees, so a core column is keyed by a small integer, not by this struct.
+type remainder struct {
 	fu            [trace.NumClasses]config.FUSpec
 	l1i           cache.Config
 	l1d           cache.Config
-	l2            cache.Config
-	l3            cache.Config
+	l2            cache.Config // SizeBytes is zero: the size is in sizes
+	l3            cache.Config // SizeBytes is zero: the size is in sizes
+	frontEndDepth int
 	memLatencyNS  float64
 	busNSPerLine  float64
 	memChannels   int
 	predictor     string
-	numPorts      int
+}
+
+// sizes is the rest of a nonClockKey: the core-column axes, the cache
+// sizes and the structures no clock-invariant stage reads (IQ, LSQ, MSHRs),
+// kept so the DVFS fast path compares the whole key.
+type sizes struct {
+	dispatchWidth int
+	rob           int
+	iq            int
+	lsq           int
+	mshrs         int
+	l2Bytes       int64
+	l3Bytes       int64
 }
 
 func makeKey(cfg *config.Config) nonClockKey {
+	l2, l3 := cfg.L2, cfg.L3
+	l2.SizeBytes, l3.SizeBytes = 0, 0
 	return nonClockKey{
-		dispatchWidth: cfg.DispatchWidth,
-		rob:           cfg.ROB,
-		iq:            cfg.IQ,
-		lsq:           cfg.LSQ,
-		frontEndDepth: cfg.FrontEndDepth,
-		mshrs:         cfg.MSHRs,
-		fu:            cfg.FU,
-		l1i:           cfg.L1I,
-		l1d:           cfg.L1D,
-		l2:            cfg.L2,
-		l3:            cfg.L3,
-		memLatencyNS:  cfg.MemLatencyNS,
-		busNSPerLine:  cfg.BusNSPerLine,
-		memChannels:   cfg.MemChannels,
-		predictor:     cfg.Predictor,
-		numPorts:      len(cfg.Ports),
+		rem: remainder{
+			fu:            cfg.FU,
+			l1i:           cfg.L1I,
+			l1d:           cfg.L1D,
+			l2:            l2,
+			l3:            l3,
+			frontEndDepth: cfg.FrontEndDepth,
+			memLatencyNS:  cfg.MemLatencyNS,
+			busNSPerLine:  cfg.BusNSPerLine,
+			memChannels:   cfg.MemChannels,
+			predictor:     cfg.Predictor,
+		},
+		sizes: sizes{
+			dispatchWidth: cfg.DispatchWidth,
+			rob:           cfg.ROB,
+			iq:            cfg.IQ,
+			lsq:           cfg.LSQ,
+			mshrs:         cfg.MSHRs,
+			l2Bytes:       cfg.L2.SizeBytes,
+			l3Bytes:       cfg.L3.SizeBytes,
+		},
 	}
-}
-
-// maxColCacheEntries bounds each of a warm Batch's column caches;
-// realistic grid sweeps touch well under this many geometries or ROB
-// sizes. At the bound a cache is flushed whole onto its free list —
-// amortized O(1), never different results.
-const maxColCacheEntries = 256
-
-// colCache is one of a kernel's bounded per-micro column caches: a map from
-// the config slice a stage reads to that stage's per-micro column, with the
-// columns of a flushed cache recycled through a free list.
-type colCache[K comparable, T any] struct {
-	cols map[K][]T
-	free [][]T
-}
-
-// get returns the column cached under k.
-//
-//mipp:hotpath
-func (cc *colCache[K, T]) get(k K) ([]T, bool) {
-	col, ok := cc.cols[k]
-	return col, ok
-}
-
-// add stores and returns a column of length n under k, for the caller to
-// fill completely before reading it: a recycled column when one is large
-// enough, else a new one.
-func (cc *colCache[K, T]) add(k K, n int) []T {
-	if cc.cols == nil {
-		cc.cols = make(map[K][]T, 16)
-	} else if len(cc.cols) >= maxColCacheEntries {
-		for k2, col := range cc.cols {
-			// The free list holds interchangeable spare capacity: add's
-			// caller fully overwrites a recycled column before it is read,
-			// so the map-iteration order never reaches a result.
-			//mipp:allow determinism free-list of fungible buffers, contents overwritten before use
-			cc.free = append(cc.free, col)
-			delete(cc.cols, k2)
-		}
-	}
-	var col []T
-	if f := len(cc.free); f > 0 {
-		col = cc.free[f-1]
-		cc.free = cc.free[:f-1]
-	}
-	if cap(col) < n {
-		col = make([]T, n)
-	}
-	col = col[:n]
-	cc.cols[k] = col
-	return col
 }
 
 // Batch is the evaluation kernel: single-goroutine, with persistent scratch
-// buffers, lookup caches and the DVFS fast-path state. Every entry point
-// (Evaluate, EvaluateRangeInto) borrows one from its Compiled's pool for
-// the duration of a call. When consecutive configurations share their
-// nonClockKey and port map, the kernel skips the geometry/miss-ratio/chain
-// stages entirely and re-runs only the memory-column lookup (one shared
-// table read per configuration) and the final combine, so a sweep cycling
-// through a DVFS axis does one lookup and pure arithmetic per point.
+// buffers and the DVFS fast-path state. Every entry point (Evaluate,
+// EvaluateRangeInto) borrows one from its Compiled's pool for the duration
+// of a call. Per configuration it makes three lookups in the Compiled's
+// stored stages — the core column, the geometry entry and the memory column
+// — then one short loop over the micro-traces for the terms that read both
+// the core and the geometry, and finish. When consecutive configurations
+// share their nonClockKey and port map, it skips all but the memory-column
+// lookup and finish, so a sweep cycling through a DVFS axis does one lookup
+// and pure arithmetic per point.
 type Batch struct {
 	c   *Compiled
 	scr scratch
@@ -212,29 +188,18 @@ type Batch struct {
 	// whether the DVFS fast path skipped them.
 	invariantRuns int
 
-	ge       *geomEntry
-	missRate float64
-
-	// Clock-invariant lookup caches local to this single-goroutine kernel.
-	// They serve the values the Compiled memo tables would — geometry per
-	// cache-geometry key, raw per-micro miss-ratio triples per geometry,
-	// per-micro critical-path interpolations per ROB — without the tables'
-	// RWMutex and map hashing, which together dominate the mixed-axis hot
-	// loop. Values are bit-identical (they come from the same tables on a
-	// miss), so a warm kernel returns byte-for-byte what a cold one would.
-	geomKeyCached geomKey
-	geomCached    *geomEntry
-	mrs           colCache[geomKey, float64] // 3 per micro: L1, L2, LLC miss ratio
-	cps           colCache[int, float64]     // 1 per micro: CP at that ROB
-
-	// Port/unit dispatch-bound cache: the bounds depend only on the port
-	// map and FU table, so the handful of distinct back-ends a sweep visits
-	// (one per dispatch width, typically) each compute once. Keyed by the
-	// FU table plus the width that selected the port map, with the actual
-	// flattened port snapshot verified on every hit so two different port
-	// maps behind one key can never alias.
-	puCache map[puKey]*puEntry
-	puFree  []*puEntry
+	// rid is the interned remainder of key, or -1 past the Compiled's
+	// remainder bound.
+	rid int
+	// core is the current core column: a stored one under coreKey, or
+	// scr.core, computed for a remainder past the bound, under a coreKey
+	// whose rid is -1, which no later configuration matches.
+	core    *coreCol
+	coreKey coreKey
+	ge      *geomEntry
+	// llcSum is the chained-LLC component summed over the micro-traces in
+	// micro order; scr.pre holds each micro-trace's CPI before DRAM.
+	llcSum float64
 }
 
 // evaluateInto evaluates cfg into res, taking the DVFS fast path when cfg
@@ -243,20 +208,18 @@ type Batch struct {
 //mipp:hotpath
 func (b *Batch) evaluateInto(cfg *config.Config, res *Result) {
 	key := makeKey(cfg)
-	if !b.keyValid || key != b.key || !b.samePorts(cfg) {
+	sameRem := b.keyValid && key.rem == b.key.rem && portsEqual(cfg, b.portLens, b.portBuf)
+	if !sameRem || key.sizes != b.key.sizes {
 		b.invariantRuns++
-		b.ge, b.missRate = b.invariants(cfg)
-		b.key = key
-		b.snapshotPorts(cfg)
-		b.keyValid = true
+		b.invariants(cfg, &key, sameRem)
 	}
 	mc := cfg.MemConfig()
-	b.c.finish(cfg, b.ge, b.missRate, b.scr.invs, b.memColumn(cfg, mc), mc, res)
+	b.c.finish(cfg, b.core, b.ge, b.scr.pre, b.llcSum, b.memColumn(cfg, mc), mc, res)
 }
 
 // memColumn returns cfg's memory-stage column from the Compiled's shared
-// table, under the branch miss rate of the current invariants: one lookup,
-// whatever the micro-trace count.
+// table, under the branch miss rate of the current core column: one
+// lookup, whatever the micro-trace count.
 //
 //mipp:hotpath
 func (b *Batch) memColumn(cfg *config.Config, mc memory.Config) []mlp.MicroMem {
@@ -266,188 +229,70 @@ func (b *Batch) memColumn(cfg *config.Config, mc memory.Config) []mlp.MicroMem {
 		latCycles:  mc.LatencyCycles,
 		llcLines:   cfg.L3.Lines(),
 		prefetcher: cfg.Prefetcher,
-		missRate:   b.missRate,
+		missRate:   b.core.missRate,
 	})
 }
 
-// invariants is the kernel's clock-invariant stage: the geometry entry,
-// the branch miss rate, and one microInv per micro-trace in b.scr.invs.
-// The memoized inputs come from the kernel's local caches (geometry entry,
-// miss-ratio triples, critical paths), which fall back to the shared memo
-// tables on a miss.
+// invariants is the kernel's clock-invariant stage: the core column, the
+// geometry entry, and the combine loop over both. sameRem reports that
+// cfg's remainder and port map equal the previous configuration's, so the
+// interned remainder is still b.rid.
 //
 //mipp:hotpath
-func (b *Batch) invariants(cfg *config.Config) (*geomEntry, float64) {
+func (b *Batch) invariants(cfg *config.Config, key *nonClockKey, sameRem bool) {
 	c := b.c
-	gk := geomKey{cfg.L1D, cfg.L2, cfg.L3, cfg.L1I}
-	if b.geomCached == nil || gk != b.geomKeyCached {
-		b.geomCached = c.geoms.Get(gk)
-		b.geomKeyCached = gk
+	if !sameRem {
+		b.rid = c.intern(&key.rem, cfg)
+		b.portLens, b.portBuf = snapshotPortsInto(cfg, b.portLens, b.portBuf)
 	}
-	ge := b.geomCached
-	missRate := c.opts.BranchMissRate
-	if missRate < 0 {
-		missRate = c.model.missRateFor(cfg.Predictor)
+	ck := coreKey{rid: b.rid, width: cfg.DispatchWidth, rob: cfg.ROB}
+	switch {
+	case b.rid < 0:
+		// Past the remainder bound: computed here, never stored, and
+		// never matched by a later configuration's coreKey.
+		c.coreOverflows.Add(1)
+		c.fillCore(&b.scr.core, cfg, &b.scr)
+		b.core, b.coreKey = &b.scr.core, ck
+	case b.core == nil || ck != b.coreKey:
+		b.core, b.coreKey = c.cores.Get(ck), ck
 	}
-	scr := &b.scr
-	scr.ensureMicros(len(c.micros))
-	mr := b.missRatios(gk)
-	cps := b.criticalPaths(cfg.ROB)
-	full := c.opts.DispatchModel == DispatchFull
-	var pu []float64
-	if full {
-		pu = b.portUnits(cfg)
+	if b.rid < 0 {
+		b.ge = c.geoms.Get(geomKey{cfg.L1D, cfg.L2, cfg.L3, cfg.L1I})
+	} else {
+		b.ge = c.remGeoms.Get(remGeomKey{b.rid, cfg.L2.SizeBytes, cfg.L3.SizeBytes})
 	}
-	for mi := range c.micros {
-		if c.micros[mi].Len == 0 {
-			scr.invs[mi] = microInv{skip: true}
-			continue
-		}
-		var portD, unitD float64
-		if full {
-			portD, unitD = pu[2*mi], pu[2*mi+1]
-		}
-		c.microInvariant(mi, cfg, ge, missRate,
-			mr[3*mi], mr[3*mi+1], mr[3*mi+2], cps[mi], portD, unitD, &scr.invs[mi])
-	}
-	return ge, missRate
+	b.combine(cfg)
+	b.key = *key
+	b.keyValid = true
 }
 
-// puKey selects a port/unit cache entry: the FU table (comparable) plus the
-// dispatch width and port count standing in for the port map itself (a
-// slice, not hashable). Distinct port maps that collide on a key are told
-// apart by the snapshot comparison in portUnits, so the key is a locator,
-// never the correctness boundary.
-type puKey struct {
-	fu       [trace.NumClasses]config.FUSpec
-	width    int
-	numPorts int
-}
-
-// puEntry is one cached back-end: the flattened port snapshot that
-// validates a hit and the per-micro [portD, unitD] column.
-type puEntry struct {
-	lens []int
-	buf  []trace.Class
-	col  []float64
-}
-
-// maxPuCacheEntries bounds the distinct back-ends a warm Batch retains —
-// sweeps touch one per dispatch width, far below this. Flushed whole onto
-// the free list at the bound, like the column caches.
-const maxPuCacheEntries = 64
-
-// portUnits returns the per-micro [portD, unitD] dispatch bounds for cfg's
-// execution back-end, computing each distinct (FU table, port map) once per
-// kernel lifetime. A multi-entry cache matters for randomized drivers
-// (search samplers), whose consecutive configs alternate dispatch widths; a
-// single-entry cache would recompute the §3.4 greedy port schedule on
-// nearly every config.
+// combine is the one loop over the micro-traces that reads both stored
+// stages: the chained-LLC term (§4.8, Eq 4.7-4.12), which needs Deff from
+// the core column and the clamped miss ratios from the geometry, and each
+// micro-trace's CPI before its DRAM component, ((base + branch) + I-cache)
+// + LLC, added in CPIStack.Total's order.
 //
 //mipp:hotpath
-func (b *Batch) portUnits(cfg *config.Config) []float64 {
-	k := puKey{fu: cfg.FU, width: cfg.DispatchWidth, numPorts: len(cfg.Ports)}
-	if e, ok := b.puCache[k]; ok && portsEqual(cfg, e.lens, e.buf) {
-		return e.col
-	}
+func (b *Batch) combine(cfg *config.Config) {
 	c := b.c
-	n := len(c.micros)
-	if b.puCache == nil {
-		b.puCache = make(map[puKey]*puEntry, 8)
-	} else if len(b.puCache) >= maxPuCacheEntries {
-		for k2, e := range b.puCache {
-			// The free list holds interchangeable spare entries: the refill
-			// below fully overwrites a recycled entry before it is read, so
-			// the map-iteration order never reaches a result.
-			//mipp:allow determinism free-list of fungible buffers, contents overwritten before use
-			b.puFree = append(b.puFree, e)
-			delete(b.puCache, k2)
+	core, ge := b.core, b.ge
+	pre := b.scr.ensurePre(len(c.micros))
+	llcSum := 0.0
+	for mi := range pre {
+		cm, gm := &core.micros[mi], &ge.micros[mi]
+		llc := 0.0
+		if !c.opts.NoLLCChain && c.micros[mi].Len > 0 {
+			llc = c.llcChainPenalty(mi, cfg, cm.deff, gm.mrL2, gm.mrLLC, core.f1)
 		}
+		llcSum += llc
+		pre[mi] = cm.baseBranch + gm.icache + llc
 	}
-	e := b.puCache[k] // key collision with a different port map: overwrite in place
-	if e == nil {
-		if fl := len(b.puFree); fl > 0 {
-			e = b.puFree[fl-1]
-			b.puFree = b.puFree[:fl-1]
-		} else {
-			e = new(puEntry)
-		}
-		b.puCache[k] = e
-	}
-	if cap(e.col) < 2*n {
-		e.col = make([]float64, 2*n)
-	}
-	col := e.col[:2*n]
-	for mi := range c.micros {
-		if c.micros[mi].Len == 0 {
-			col[2*mi], col[2*mi+1] = 0, 0
-			continue
-		}
-		col[2*mi], col[2*mi+1] = effectiveDispatchLimits(c.microMixes[mi], cfg, &b.scr)
-	}
-	e.col = col
-	e.lens, e.buf = snapshotPortsInto(cfg, e.lens, e.buf)
-	return col
-}
-
-// missRatios returns the per-micro [L1, L2, LLC] raw load miss ratios for
-// one cache geometry, cached locally.
-//
-//mipp:hotpath
-func (b *Batch) missRatios(gk geomKey) []float64 {
-	if col, ok := b.mrs.get(gk); ok {
-		return col
-	}
-	col := b.mrs.add(gk, 3*len(b.c.micros))
-	l1, l2, llc := float64(gk.l1d.Lines()), float64(gk.l2.Lines()), float64(gk.l3.Lines())
-	for mi := range b.c.micros {
-		if b.c.micros[mi].Len == 0 {
-			col[3*mi], col[3*mi+1], col[3*mi+2] = 0, 0, 0
-			continue
-		}
-		col[3*mi] = b.c.missRatio(mi, l1)
-		col[3*mi+1] = b.c.missRatio(mi, l2)
-		col[3*mi+2] = b.c.missRatio(mi, llc)
-	}
-	return col
-}
-
-// criticalPaths returns the per-micro critical-path (CP) chain
-// interpolations at one ROB size, cached locally.
-//
-//mipp:hotpath
-func (b *Batch) criticalPaths(rob int) []float64 {
-	if col, ok := b.cps.get(rob); ok {
-		return col
-	}
-	col := b.cps.add(rob, len(b.c.micros))
-	for mi := range b.c.micros {
-		col[mi] = 0
-		if b.c.micros[mi].Len > 0 {
-			_, _, col[mi] = b.c.chainAt(mi, rob)
-		}
-	}
-	return col
-}
-
-// samePorts reports whether cfg's port map matches the snapshot taken at
-// the last invariant computation. Design-space enumerators build fresh
-// Port slices per configuration, so this is a content comparison, not a
-// pointer one.
-//
-//mipp:hotpath
-func (b *Batch) samePorts(cfg *config.Config) bool {
-	return portsEqual(cfg, b.portLens, b.portBuf)
-}
-
-// snapshotPorts flattens cfg's port map into the kernel's reusable
-// buffers.
-func (b *Batch) snapshotPorts(cfg *config.Config) {
-	b.portLens, b.portBuf = snapshotPortsInto(cfg, b.portLens, b.portBuf)
+	b.llcSum = llcSum
 }
 
 // portsEqual compares cfg's port map against a flattened snapshot by
-// content.
+// content. Design-space enumerators build fresh Port slices per
+// configuration, so this is a content comparison, not a pointer one.
 //
 //mipp:hotpath
 func portsEqual(cfg *config.Config, lens []int, buf []trace.Class) bool {

@@ -11,10 +11,11 @@ import (
 	"mipp/internal/mlp"
 )
 
-// coldEvaluate evaluates cfg on a fresh kernel — empty lookup caches and no
-// DVFS key — so it shares no warm state with the kernel under test.
+// coldEvaluate evaluates cfg on a fresh Compiled for c's model and options
+// — empty memo tables and a kernel with no DVFS key — so it shares no
+// stored column with the kernel under test.
 func coldEvaluate(c *Compiled, cfg *config.Config) *Result {
-	return evaluateOn(&Batch{c: c}, cfg)
+	return evaluateOn(&Batch{c: newCompiled(c.model, c.opts)}, cfg)
 }
 
 // evaluateOn evaluates cfg on kernel b into a fresh Result.
@@ -197,16 +198,16 @@ func TestBatchResultReleaseClearsEveryWrittenRow(t *testing.T) {
 }
 
 // TestPutBatchTrimInvalidatesKey pins the pool's put path: when the trim
-// drops an oversized invariant buffer, the kernel must forget the DVFS key
-// those invariants belonged to, or the next same-key evaluation would
-// finish over an empty buffer.
+// drops an oversized pre-DRAM buffer, the kernel must forget the DVFS key
+// that buffer belonged to, or the next same-key evaluation would finish
+// over an empty buffer.
 func TestPutBatchTrimInvalidatesKey(t *testing.T) {
 	m := modelFor(t, "gamess", 60_000)
 	c := m.Compile(DefaultOptions())
 	cfg := config.Reference()
 	b := &Batch{c: c}
 	want := evaluateOn(b, cfg)
-	b.scr.invs = append(make([]microInv, 0, pooledCapLimit+1), b.scr.invs...)
+	b.scr.pre = append(make([]float64, 0, pooledCapLimit+1), b.scr.pre...)
 	c.putBatch(b)
 	if got := evaluateOn(b, cfg); !reflect.DeepEqual(want, got) {
 		t.Fatal("evaluation after a trimming put differs from the one before it")

@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"mipp/internal/cache"
 	"mipp/internal/config"
@@ -24,17 +26,18 @@ import (
 // and the config-invariant MLP parameter template; lazily it memoizes the
 // quantities that depend on only a slice of the configuration — the
 // per-cache-geometry StatStack prediction (so sweeps that vary only
-// frequency, width or ROB never touch StatStack again), the memory stage's
-// per-micro MicroMem column per memory configuration, per-micro miss-ratio
-// lookups, dependence-chain interpolations, branch-resolution fixpoints and
-// merged load-dependence histograms.
+// frequency, width or ROB never touch StatStack again), the core column per
+// (remainder, dispatch width, ROB), the memory stage's per-micro MicroMem
+// column per memory configuration, per-micro miss-ratio lookups,
+// dependence-chain interpolations, branch-resolution fixpoints and merged
+// load-dependence histograms.
 //
 // A Compiled is safe for concurrent use. Evaluation results are
 // byte-identical regardless of which configurations were evaluated before:
 // every memoized function is deterministic in its key, so a cache hit
 // returns exactly what a fresh computation would — and for the same reason
-// every memo table is bounded (maxGeomEntries, maxMemEntries,
-// maxMemoEntries): past the cap new keys are computed without being stored,
+// every memo table is bounded (maxGeomEntries, maxCoreMicros, maxMemEntries,
+// maxMemoEntries, maxRemainders): past the cap new keys are computed without being stored,
 // trading speed for memory but never changing a result. A long-lived
 // service fed adversarial client-chosen geometries therefore holds bounded
 // state per (workload, option-set) kernel.
@@ -58,6 +61,19 @@ type Compiled struct {
 	mix [trace.NumClasses]float64
 
 	geoms *memo.Table[geomKey, *geomEntry]
+	// remGeoms locates a geometry entry by interned remainder and cache
+	// sizes: a 24-byte key instead of geomKey's four cache.Configs, whose
+	// name strings dominate the hash. Its entries point into geoms.
+	remGeoms *memo.Table[remGeomKey, *geomEntry]
+	// cores maps a coreKey to its core column: one lookup per evaluated
+	// configuration whose width, ROB or remainder changed.
+	cores *memo.Table[coreKey, *coreCol]
+	// rems is the interned remainder list, append-only and read without a
+	// lock; remMu serializes the appends. coreOverflows counts the core
+	// columns computed for remainders past maxRemainders.
+	rems          atomic.Pointer[[]*remEntry]
+	remMu         sync.Mutex
+	coreOverflows atomic.Uint64
 	// mems maps a memory configuration to its per-micro MicroMem column:
 	// one lookup per evaluated configuration, shared by every kernel.
 	mems     *memo.Table[memKey, []mlp.MicroMem]
@@ -68,9 +84,8 @@ type Compiled struct {
 	// profile's handful of ROB sizes and the bound never binds.
 	loadDeps *memo.Table[int, *stats.Histogram]
 
-	// batches pools warm evaluation kernels — scratch buffers, lookup
-	// caches and the DVFS fast-path state — for every evaluation entry
-	// point, so repeated calls reuse invariants instead of rebuilding them.
+	// batches pools warm evaluation kernels — scratch buffers and the DVFS
+	// fast-path state — for every evaluation entry point.
 	batches sync.Pool
 }
 
@@ -82,6 +97,17 @@ const (
 	// maxGeomEntries bounds the per-geometry StatStack predictions — the
 	// heaviest entries (three LevelStats plus derived rates each).
 	maxGeomEntries = 256
+	// maxCoreMicros bounds the core table by micro-traces × columns: it
+	// holds at most maxCoreMicros/len(micros) columns, 16 bytes per
+	// micro-trace each, so at most 4 MiB of them whatever the profile's
+	// micro-trace count. The wide search space needs 96 columns and Table
+	// 6.3 needs 9.
+	maxCoreMicros = 1 << 18
+	// maxRemainders bounds the interned remainders. Grid and search spaces
+	// vary the remainder only through the port map, one per width class;
+	// a configuration past the bound computes its core column without
+	// storing it.
+	maxRemainders = 16
 	// maxMemEntries bounds the memory-stage columns (one MicroMem per
 	// micro-trace each). The 122,880-point wide search space has 2,560
 	// memory keys and Table 6.3 has 27.
@@ -97,11 +123,63 @@ type geomKey struct {
 	l1d, l2, l3, l1i cache.Config
 }
 
-// geomEntry is the memoized per-geometry state: the StatStack prediction
-// and the store-miss-per-uop rate the bus-contention term consumes.
+// geomEntry is the memoized per-geometry state: the StatStack prediction,
+// the store-miss-per-uop rate the bus-contention term consumes, each
+// micro-trace's geometry terms and the I-cache component summed over them
+// in micro order.
 type geomEntry struct {
 	pred            *statstack.Prediction
 	storeMissPerUop float64
+	micros          []geomMicro
+	icacheSum       float64
+}
+
+// geomMicro is one micro-trace's share of a geometry entry: its L2 and LLC
+// load miss ratios, clamped so that no level misses more than the one
+// above it, the predicted LLC load misses and the I-cache component.
+type geomMicro struct {
+	mrL2, mrLLC, misses, icache float64
+}
+
+// remGeomKey locates a geometry entry: an interned remainder carries L1D,
+// L1I and the L2 and L3 shapes, so with the L2 and L3 sizes it determines
+// the geomKey.
+type remGeomKey struct {
+	rid              int
+	l2Bytes, l3Bytes int64
+}
+
+// coreKey selects a core column: an interned remainder, the dispatch width
+// and the ROB size.
+type coreKey struct {
+	rid, width, rob int
+}
+
+// coreCol is the core stage of one coreKey: everything the model derives
+// from the remainder, width and ROB alone. It holds each micro-trace's
+// effective dispatch rate and its base plus branch component, their sums
+// over the micro-traces in micro order (base, branch, and Deff weighted by
+// length), the limiter counts, the branch miss rate, and the §4.8
+// load-dependence fraction f1 at the ROB size.
+type coreCol struct {
+	micros                      []coreMicro
+	baseSum, branchSum, deffSum float64
+	limiter                     [4]float64
+	missRate, f1                float64
+}
+
+// coreMicro is one micro-trace's share of a core column. baseBranch is
+// base + branch, the first addition of CPIStack.Total.
+type coreMicro struct {
+	deff, baseBranch float64
+}
+
+// remEntry is one interned remainder: the key and a template
+// configuration — the first one seen with this remainder, its port map
+// deep-copied — that the core columns are computed from.
+type remEntry struct {
+	rem remainder
+	cfg config.Config
 }
 
 // memKey carries every input the memory stage reads: the window, the MSHR
@@ -156,6 +234,13 @@ func newCompiled(m *Model, opts Options) *Compiled {
 		mix:        p.Mix(),
 	}
 	c.geoms = memo.New(maxGeomEntries, c.predictGeometry)
+	c.remGeoms = memo.New(maxGeomEntries, func(k remGeomKey) *geomEntry {
+		cfg := &(*c.rems.Load())[k.rid].cfg
+		l2, l3 := cfg.L2, cfg.L3
+		l2.SizeBytes, l3.SizeBytes = k.l2Bytes, k.l3Bytes
+		return c.geoms.Get(geomKey{cfg.L1D, l2, l3, cfg.L1I})
+	})
+	c.cores = memo.New(max(1, maxCoreMicros/max(1, len(micros))), c.coreColumn)
 	c.mems = memo.New(maxMemEntries, c.memColumn)
 	c.microMR = memo.New(maxMemoEntries, func(k microLinesKey) float64 {
 		return statstack.MissRatioForMicro(curves.Curve, micros[k.micro], k.lines)
@@ -184,6 +269,10 @@ type CompiledStats struct {
 	// MissRatioComputes counts per-micro miss-ratio queries against the
 	// reuse curve.
 	MissRatioComputes uint64
+	// CoreColumns counts core columns computed: one per coreKey stored,
+	// plus one per evaluation of a configuration whose remainder is past
+	// the interning bound.
+	CoreColumns uint64
 	// MemColumns counts memory-stage columns computed, one per memKey.
 	MemColumns uint64
 	// MissMarkBuilds and DepthBuilds aggregate the per-micro stride-MLP
@@ -198,6 +287,7 @@ func (c *Compiled) Stats() CompiledStats {
 	s := CompiledStats{
 		StatStackPredicts: c.geoms.Computes(),
 		MissRatioComputes: c.microMR.Computes(),
+		CoreColumns:       c.cores.Computes() + c.coreOverflows.Load(),
 		MemColumns:        c.mems.Computes(),
 	}
 	for _, mc := range c.mcs {
@@ -208,15 +298,175 @@ func (c *Compiled) Stats() CompiledStats {
 	return s
 }
 
-// predictGeometry runs StatStack for one cache geometry.
+// predictGeometry runs StatStack for one cache geometry and derives each
+// micro-trace's geometry terms from it.
 func (c *Compiled) predictGeometry(k geomKey) *geomEntry {
-	e := &geomEntry{pred: c.curves.Predict([]cache.Config{k.l1d, k.l2, k.l3}, k.l1i)}
+	e := &geomEntry{
+		pred:   c.curves.Predict([]cache.Config{k.l1d, k.l2, k.l3}, k.l1i),
+		micros: make([]geomMicro, len(c.micros)),
+	}
 	// Global store miss ratio for bus contention (Eq 4.6).
 	llcStats := e.pred.Levels[len(e.pred.Levels)-1]
 	if p := c.model.Profile; p.TotalUops > 0 {
 		e.storeMissPerUop = llcStats.StoreMisses / float64(p.TotalUops)
 	}
+	l1, l2, llc := float64(k.l1d.Lines()), float64(k.l2.Lines()), float64(k.l3.Lines())
+	for mi, micro := range c.micros {
+		if micro.Len == 0 {
+			continue // a zero-length micro-trace contributes nothing
+		}
+		// Per-micro cache behaviour: L1/L2/LLC load miss ratios.
+		mrL1, mrL2, mrLLC := c.missRatio(mi, l1), c.missRatio(mi, l2), c.missRatio(mi, llc)
+		if mrL2 > mrL1 {
+			mrL2 = mrL1
+		}
+		if mrLLC > mrL2 {
+			mrLLC = mrL2
+		}
+		gm := &e.micros[mi]
+		gm.mrL2, gm.mrLLC = mrL2, mrLLC
+		// The DRAM component itself is frequency-dependent (the memory
+		// column and dramPenalty); what is invariant is the predicted miss
+		// count.
+		gm.misses = mrLLC * float64(micro.LoadCount)
+		// I-cache component: misses resolved from L2.
+		if e.pred.ICacheMPKI > 0 {
+			icMisses := e.pred.ICacheMPKI / 1000 * float64(micro.Instrs)
+			gm.icache = icMisses * float64(k.l2.LatencyCycles)
+		}
+		e.icacheSum += gm.icache
+	}
 	return e
+}
+
+// intern returns the index of rem with cfg's port map in the remainder
+// list, adding it when there is room, or -1 past maxRemainders. The list
+// is short and scanned only when a kernel's remainder changes.
+func (c *Compiled) intern(rem *remainder, cfg *config.Config) int {
+	if i := findRemainder(c.rems.Load(), rem, cfg); i >= 0 {
+		return i
+	}
+	c.remMu.Lock()
+	defer c.remMu.Unlock()
+	list := c.rems.Load()
+	if i := findRemainder(list, rem, cfg); i >= 0 {
+		return i
+	}
+	var old []*remEntry
+	if list != nil {
+		old = *list
+	}
+	if len(old) >= maxRemainders {
+		return -1
+	}
+	e := &remEntry{rem: *rem, cfg: *cfg}
+	e.cfg.Name = ""
+	e.cfg.Ports = slices.Clone(cfg.Ports)
+	for pi, p := range e.cfg.Ports {
+		e.cfg.Ports[pi] = slices.Clone(p)
+	}
+	grown := append(old[:len(old):len(old)], e)
+	c.rems.Store(&grown)
+	return len(old)
+}
+
+// findRemainder returns the index of rem with cfg's port map in list, or
+// -1.
+//
+//mipp:hotpath
+func findRemainder(list *[]*remEntry, rem *remainder, cfg *config.Config) int {
+	if list == nil {
+		return -1
+	}
+	for i, e := range *list {
+		if e.rem == *rem && slices.EqualFunc(e.cfg.Ports, cfg.Ports, slices.Equal[config.Port]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// coreColumn computes the stored core column of one key from its interned
+// remainder's template.
+func (c *Compiled) coreColumn(k coreKey) *coreCol {
+	cfg := (*c.rems.Load())[k.rid].cfg
+	cfg.DispatchWidth, cfg.ROB = k.width, k.rob
+	col := new(coreCol)
+	c.fillCore(col, &cfg, new(scratch))
+	return col
+}
+
+// fillCore computes cfg's core column into col, reusing its capacity: per
+// micro-trace, the dispatch rate Deff (Eq 3.10) from the average latency,
+// the critical path at the ROB size and the port and unit bounds, then the
+// base and branch components of Equation 3.1. It reads only the remainder,
+// the dispatch width and the ROB of cfg.
+func (c *Compiled) fillCore(col *coreCol, cfg *config.Config, scr *scratch) {
+	col.micros = grow(col.micros, len(c.micros))
+	col.baseSum, col.branchSum, col.deffSum = 0, 0, 0
+	col.limiter = [4]float64{}
+	col.missRate = c.opts.BranchMissRate
+	if col.missRate < 0 {
+		col.missRate = c.model.missRateFor(cfg.Predictor)
+	}
+	col.f1 = 0
+	if !c.opts.NoLLCChain {
+		// The §4.8 fraction of loads that depend on one earlier load.
+		if col.f1 = c.loadDepHist(cfg.ROB).Fraction(1); col.f1 <= 0 {
+			col.f1 = 1
+		}
+	}
+	l1 := float64(cfg.L1D.Lines())
+	for mi, micro := range c.micros {
+		if micro.Len == 0 {
+			col.limiter[0]++ // contributes nothing, counted as width-limited
+			continue
+		}
+		n := float64(micro.Len)
+		mix := c.microMixes[mi]
+		// Average instruction latency including short (L1/L2-hit) loads.
+		lat := averageLatency(mix, cfg, c.missRatio(mi, l1))
+		// Effective dispatch rate (Eq 3.10) with the per-ROB critical path.
+		_, _, cp := c.chainAt(mi, cfg.ROB)
+		var portD, unitD float64
+		if c.opts.DispatchModel == DispatchFull {
+			portD, unitD = effectiveDispatchLimits(mix, cfg, scr)
+		}
+		deff, limiter := effectiveDispatchFrom(cfg, lat, cp, c.opts.DispatchModel, portD, unitD)
+
+		// Base component.
+		var base float64
+		if c.opts.DispatchModel == DispatchInstructions {
+			base = float64(micro.Instrs) / float64(cfg.DispatchWidth)
+		} else {
+			base = n / deff
+		}
+
+		// Branch misprediction component: m_bpred × (c_res + c_fe). When
+		// the backend, not the front-end, is the bottleneck (Deff < D), the
+		// ROB backlog keeps the core busy while the front-end recovers;
+		// only the part of the recovery that outlasts the backlog drain
+		// costs cycles.
+		var branch float64
+		if mispred := float64(micro.Branches) * col.missRate; mispred > 0 {
+			// The memoized leaky-bucket fixpoint gives the resolution time
+			// and the ROB occupancy. The resolution overlaps with the
+			// backend draining that backlog (occ uops at Deff); the
+			// front-end refill does not.
+			v := c.branches.Get(branchKey{micro: mi, rob: cfg.ROB, width: cfg.DispatchWidth, lat: lat, mispred: mispred})
+			resolution := v[0] - v[1]/deff
+			if resolution < 0 {
+				resolution = 0
+			}
+			branch = mispred * (resolution + float64(cfg.FrontEndDepth))
+		}
+
+		col.micros[mi] = coreMicro{deff: deff, baseBranch: base + branch}
+		col.baseSum += base
+		col.branchSum += branch
+		col.deffSum += deff * n
+		col.limiter[limiter]++
+	}
 }
 
 // missRatio returns the memoized load miss ratio of one micro-trace at a
@@ -252,17 +502,21 @@ type scratch struct {
 	serving  []int
 	tied     []int
 	multi    []trace.Class
-	invs     []microInv
+	// pre is each micro-trace's CPI before its DRAM component, written by
+	// the combine loop and read by finish.
+	pre []float64
+	// core is the core column of a configuration whose remainder is past
+	// the interning bound.
+	core coreCol
 }
 
-// ensureMicros sizes the per-micro-trace invariant buffer for one
-// evaluation.
-func (s *scratch) ensureMicros(n int) {
-	if cap(s.invs) < n {
-		s.invs = make([]microInv, n)
-	} else {
-		s.invs = s.invs[:n]
+// ensurePre sizes the per-micro-trace pre-DRAM buffer for one evaluation.
+func (s *scratch) ensurePre(n int) []float64 {
+	if cap(s.pre) < n {
+		s.pre = make([]float64, n)
 	}
+	s.pre = s.pre[:n]
+	return s.pre
 }
 
 // pooledCapLimit bounds the slice capacity a scratch may carry back into
@@ -287,8 +541,11 @@ func (s *scratch) trim() {
 	if cap(s.multi) > pooledCapLimit {
 		s.multi = nil
 	}
-	if cap(s.invs) > pooledCapLimit {
-		s.invs = nil
+	if cap(s.pre) > pooledCapLimit {
+		s.pre = nil
+	}
+	if cap(s.core.micros) > pooledCapLimit {
+		s.core.micros = nil
 	}
 }
 
@@ -306,27 +563,15 @@ func (c *Compiled) Evaluate(cfg *config.Config) *Result {
 }
 
 // putBatch returns a kernel to c.batches, first trimming the scratch
-// buffers a pathological configuration grew. Dropping the per-micro
-// invariants invalidates the DVFS key they were computed for.
+// buffers a pathological configuration grew. Dropping the pre-DRAM buffer
+// (and with it the unstored core column, which has the same length)
+// invalidates the DVFS key they were computed for.
 func (c *Compiled) putBatch(b *Batch) {
 	b.scr.trim()
-	if b.scr.invs == nil {
+	if b.scr.pre == nil {
 		b.keyValid = false
 	}
 	c.batches.Put(b)
-}
-
-// microInv is the clock-invariant share of one micro-trace's evaluation:
-// every CPI component except DRAM, the effective dispatch rate and the
-// predicted LLC load misses. The DVFS fast path computes these once per
-// distinct non-clock configuration and re-runs only the memory-column
-// lookup and finish per clock.
-type microInv struct {
-	stack   perf.CPIStack
-	deff    float64
-	misses  float64
-	limiter int
-	skip    bool // zero-length micro-trace: contributes nothing
 }
 
 // memColumn runs the MLP models of every micro-trace for one memory
@@ -356,47 +601,56 @@ func (c *Compiled) memColumn(k memKey) []mlp.MicroMem {
 	return col
 }
 
-// finish combines the per-micro invariants with their per-clock MicroMem
-// column into res — the only stage that runs on every configuration of a
-// warm DVFS sweep. res may be a reused row: every output field is
-// (re)assigned, and MicroCPI is appended into its existing capacity.
+// finish combines the clock-invariant stage — the core column, the
+// geometry entry and the pre-DRAM CPI of each micro-trace — with the
+// per-clock MicroMem column into res: the only stage that runs on every
+// configuration of a warm DVFS sweep. Each stack component is its
+// per-micro terms summed in micro order and each MicroCPI adds DRAM last,
+// as CPIStack.Add and Total would. res may be a reused row: every output
+// field is (re)assigned, and MicroCPI is appended into its existing
+// capacity.
 //
 //mipp:hotpath
-func (c *Compiled) finish(cfg *config.Config, ge *geomEntry, missRate float64, invs []microInv, mems []mlp.MicroMem, mem memory.Config, res *Result) {
+func (c *Compiled) finish(cfg *config.Config, core *coreCol, ge *geomEntry, pre []float64, llcSum float64, mems []mlp.MicroMem, mem memory.Config, res *Result) {
 	p := c.model.Profile
 	res.Config = cfg.Name
 	res.Workload = p.Workload
 	res.Cycles = 0
 	res.Uops = float64(p.TotalUops)
 	res.Instructions = float64(p.TotalInstrs)
-	res.Stack = perf.CPIStack{}
 	res.Activity = perf.Activity{}
 	res.Deff = 0
 	res.MLP = 0
-	res.BranchMissRate = missRate
+	res.BranchMissRate = core.missRate
 	res.LLCLoadMisses = 0
 	res.DRAMStallPerMiss = 0
 	res.MicroCPI = res.MicroCPI[:0]
-	res.Limiter = [4]float64{}
+	res.Limiter = core.limiter
 
-	var totalUops float64
-	var deffSum, mlpSum, mlpW float64
-	var missSum, dramStall float64
-	for mi := range invs {
-		ev := c.microFinish(mi, cfg, ge, &invs[mi], mems[mi], mem.LatencyCycles, mem.BusCyclesPerLine)
-		res.Stack.Add(&ev.stack)
+	var totalUops, mlpSum, mlpW float64
+	var missSum, dramStall, dramSum float64
+	for mi := range pre {
 		n := float64(c.micros[mi].Len)
 		totalUops += n
-		deffSum += ev.deff * n
-		if ev.misses > 0 {
-			mlpSum += ev.mlp * ev.misses
-			mlpW += ev.misses
-			missSum += ev.misses
-			dramStall += ev.stack.Cycles[perf.DRAM]
+		dram := 0.0
+		if gm := &ge.micros[mi]; gm.misses > 0 {
+			mm := &mems[mi]
+			dram = c.dramPenalty(cfg, mem, n, core.micros[mi].deff, gm.misses, ge.storeMissPerUop, mm)
+			mlpSum += mm.MLP * gm.misses
+			mlpW += gm.misses
+			missSum += gm.misses
+			dramStall += dram
 		}
-		res.MicroCPI = append(res.MicroCPI, ev.stack.Total()/n)
-		res.Limiter[ev.limiter]++
+		dramSum += dram
+		res.MicroCPI = append(res.MicroCPI, (pre[mi]+dram)/n)
 	}
+	res.Stack = perf.CPIStack{Cycles: [perf.NumComponents]float64{
+		perf.Base:       core.baseSum,
+		perf.BranchComp: core.branchSum,
+		perf.ICache:     ge.icacheSum,
+		perf.LLCHit:     llcSum,
+		perf.DRAM:       dramSum,
+	}}
 	if totalUops == 0 {
 		return
 	}
@@ -404,7 +658,7 @@ func (c *Compiled) finish(cfg *config.Config, ge *geomEntry, missRate float64, i
 	scale := float64(p.TotalUops) / totalUops
 	res.Stack.Scale(scale)
 	res.Cycles = res.Stack.Total()
-	res.Deff = deffSum / totalUops
+	res.Deff = core.deffSum / totalUops
 	if mlpW > 0 {
 		res.MLP = mlpSum / mlpW
 	} else {
@@ -417,147 +671,47 @@ func (c *Compiled) finish(cfg *config.Config, ge *geomEntry, missRate float64, i
 	c.fillActivity(res, ge.pred)
 }
 
-// microInvariant applies the clock-invariant part of Equation 3.1 to one
-// micro-trace: miss ratios, dispatch rate, base, branch, I-cache and
-// chained-LLC-hit components, and the predicted LLC load misses. The
-// memoized or mix-derived per-micro inputs — the raw L1/L2/LLC load miss
-// ratios, the critical path CP at cfg.ROB, and the port/unit dispatch
-// bounds — are computed by the caller, which serves them from the batch
-// kernel's lock-free local caches. The result is written into out (a
-// reused scr.invs slot).
+// dramPenalty is the DRAM component of Equation 3.1 for one micro-trace of
+// n uops with a positive predicted miss count: m_LLC × (c_mem + c_bus)/MLP
+// with prefetch, MSHR and bus corrections.
 //
 //mipp:hotpath
-func (c *Compiled) microInvariant(mi int, cfg *config.Config, ge *geomEntry, missRate float64, mrL1, mrL2, mrLLC, cp, portD, unitD float64, out *microInv) {
-	micro := c.micros[mi]
-	n := float64(micro.Len)
-	*out = microInv{}
-	if n == 0 {
-		out.skip = true
-		return
+func (c *Compiled) dramPenalty(cfg *config.Config, mc memory.Config, n, deff, misses, storeMissPerUop float64, mem *mlp.MicroMem) float64 {
+	cmem := float64(mc.LatencyCycles) + float64(cfg.L3.LatencyCycles)
+	cbus := 0.0
+	if !c.opts.NoBusQueue {
+		mlpPrime := mlp.RescaleForStores(mem.MLP, misses, storeMissPerUop*n)
+		cbus = mlp.BusLatency(mlpPrime, mc.BusCyclesPerLine)
 	}
-	inv := out
-	mix := c.microMixes[mi]
-
-	// Per-micro cache behaviour: L1/L2/LLC load miss ratios.
-	if mrL2 > mrL1 {
-		mrL2 = mrL1
-	}
-	if mrLLC > mrL2 {
-		mrLLC = mrL2
-	}
-
-	// Average instruction latency including short (L1/L2-hit) loads.
-	lat := averageLatency(mix, cfg, mrL1)
-
-	// Effective dispatch rate (Eq 3.10) with the per-ROB critical path.
-	deff, limiter := effectiveDispatchFrom(cfg, lat, cp, c.opts.DispatchModel, portD, unitD)
-	inv.deff = deff
-	inv.limiter = limiter
-
-	// Base component.
-	if c.opts.DispatchModel == DispatchInstructions {
-		inv.stack.Cycles[perf.Base] = float64(micro.Instrs) / float64(cfg.DispatchWidth)
-	} else {
-		inv.stack.Cycles[perf.Base] = n / deff
-	}
-
-	// Branch misprediction component: m_bpred × (c_res + c_fe). When the
-	// backend, not the front-end, is the bottleneck (Deff < D), the ROB
-	// backlog keeps the core busy while the front-end recovers; only the
-	// part of the recovery that outlasts the backlog drain costs cycles.
-	branches := float64(micro.Branches)
-	mispred := branches * missRate
-	if mispred > 0 {
-		cres, occ := c.branchResolution(mi, cfg, lat, mispred)
-		// The resolution overlaps with the backend draining the ROB
-		// backlog (occ uops at Deff); the front-end refill does not.
-		drain := occ / deff
-		resolution := cres - drain
-		if resolution < 0 {
-			resolution = 0
+	// Prefetch coverage (Eq 4.13): timely misses cost nothing; partial
+	// ones cost the residual latency.
+	demand := misses * (1 - mem.PrefetchTimely - mem.PrefetchPartial)
+	partial := misses * mem.PrefetchPartial
+	penalty := demand * (cmem + cbus)
+	if partial > 0 {
+		residual := cmem - mem.PartialSpacing/deff
+		if residual < 0 {
+			residual = 0
 		}
-		inv.stack.Cycles[perf.BranchComp] = mispred * (resolution + float64(cfg.FrontEndDepth))
+		penalty += partial * residual
 	}
-
-	// I-cache component: misses resolved from L2.
-	if ge.pred.ICacheMPKI > 0 {
-		icMisses := ge.pred.ICacheMPKI / 1000 * float64(micro.Instrs)
-		inv.stack.Cycles[perf.ICache] = icMisses * float64(cfg.L2.LatencyCycles)
+	penalty /= mem.MLP
+	// The stall starts only when the load reaches the ROB head and the ROB
+	// has filled behind it (§2.5.3); dispatch proceeds at D during the
+	// fill, so ROB/D cycles per stalling window overlap with the base
+	// component and are subtracted, mirroring the ROB-fill subtraction
+	// Equation 4.11 applies to chained LLC hits.
+	windows := n / float64(cfg.ROB)
+	missWindows := math.Min(windows, misses)
+	if missWindows > 0 {
+		perWindow := penalty / missWindows
+		hidden := math.Min(float64(cfg.ROB)/float64(cfg.DispatchWidth), perWindow)
+		penalty -= hidden * missWindows
 	}
-
-	// The memory component itself is frequency-dependent (the memory
-	// column and microFinish); what is invariant is the predicted miss
-	// count.
-	inv.misses = mrLLC * float64(micro.LoadCount)
-
-	// Chained LLC hits (§4.8, Eq 4.7-4.12).
-	if !c.opts.NoLLCChain {
-		inv.stack.Cycles[perf.LLCHit] = c.llcChainPenalty(mi, cfg, deff, mrL2, mrLLC)
+	if penalty < 0 {
+		penalty = 0
 	}
-}
-
-// microFinish completes Equation 3.1 for one micro-trace: the DRAM
-// component — m_LLC × (c_mem + c_bus)/MLP with prefetch, MSHR and bus
-// corrections — on top of the invariant components.
-//
-//mipp:hotpath
-func (c *Compiled) microFinish(mi int, cfg *config.Config, ge *geomEntry, inv *microInv, mem mlp.MicroMem, latCycles, busPerLine int) microEval {
-	if inv.skip {
-		return microEval{}
-	}
-	ev := microEval{stack: inv.stack, deff: inv.deff, mlp: mem.MLP, misses: inv.misses, limiter: inv.limiter}
-	if inv.misses > 0 {
-		n := float64(c.micros[mi].Len)
-		deff := inv.deff
-		misses := inv.misses
-		cmem := float64(latCycles) + float64(cfg.L3.LatencyCycles)
-		cbus := 0.0
-		if !c.opts.NoBusQueue {
-			mlpPrime := mlp.RescaleForStores(mem.MLP, misses, ge.storeMissPerUop*n)
-			cbus = mlp.BusLatency(mlpPrime, busPerLine)
-		}
-		// Prefetch coverage (Eq 4.13): timely misses cost nothing;
-		// partial ones cost the residual latency.
-		demand := misses * (1 - mem.PrefetchTimely - mem.PrefetchPartial)
-		partial := misses * mem.PrefetchPartial
-		penalty := demand * (cmem + cbus)
-		if partial > 0 {
-			residual := cmem - mem.PartialSpacing/deff
-			if residual < 0 {
-				residual = 0
-			}
-			penalty += partial * residual
-		}
-		penalty /= mem.MLP
-		// The stall starts only when the load reaches the ROB head and
-		// the ROB has filled behind it (§2.5.3); dispatch proceeds at D
-		// during the fill, so ROB/D cycles per stalling window overlap
-		// with the base component and are subtracted, mirroring the
-		// ROB-fill subtraction Equation 4.11 applies to chained LLC
-		// hits.
-		windows := n / float64(cfg.ROB)
-		missWindows := math.Min(windows, misses)
-		if missWindows > 0 {
-			perWindow := penalty / missWindows
-			hidden := math.Min(float64(cfg.ROB)/float64(cfg.DispatchWidth), perWindow)
-			penalty -= hidden * missWindows
-		}
-		if penalty < 0 {
-			penalty = 0
-		}
-		ev.stack.Cycles[perf.DRAM] = penalty
-	}
-	return ev
-}
-
-// branchResolution returns the memoized leaky-bucket fixpoint (Algorithm
-// 3.2) for a positive misprediction count: the resolution time and the ROB
-// occupancy, which bounds how much of the recovery the backlog can hide.
-//
-//mipp:hotpath
-func (c *Compiled) branchResolution(mi int, cfg *config.Config, lat, mispred float64) (float64, float64) {
-	v := c.branches.Get(branchKey{micro: mi, rob: cfg.ROB, width: cfg.DispatchWidth, lat: lat, mispred: mispred})
-	return v[0], v[1]
+	return penalty
 }
 
 // branchFixpoint runs Algorithm 3.2: it tracks how full the ROB is when the
@@ -599,10 +753,11 @@ func (c *Compiled) branchFixpoint(k branchKey) [2]float64 {
 	return [2]float64{k.lat * abpOcc, robi}
 }
 
-// llcChainPenalty implements Equations 4.7-4.12.
+// llcChainPenalty implements Equations 4.7-4.12, with f1 the core column's
+// load-dependence fraction at cfg.ROB.
 //
 //mipp:hotpath
-func (c *Compiled) llcChainPenalty(mi int, cfg *config.Config, deff, mrL2, mrLLC float64) float64 {
+func (c *Compiled) llcChainPenalty(mi int, cfg *config.Config, deff, mrL2, mrLLC, f1 float64) float64 {
 	micro := c.micros[mi]
 	n := float64(micro.Len)
 	loadFrac := 0.0
@@ -619,11 +774,6 @@ func (c *Compiled) llcChainPenalty(mi int, cfg *config.Config, deff, mrL2, mrLLC
 		return 0
 	}
 	hLLC := hitRate * loadsPerROB
-	f := c.loadDepHist(cfg.ROB)
-	f1 := f.Fraction(1)
-	if f1 <= 0 {
-		f1 = 1
-	}
 	pload := f1 * loadsPerROB
 	if pload < 1 {
 		pload = 1

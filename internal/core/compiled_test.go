@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"mipp/internal/config"
@@ -350,7 +351,7 @@ func TestMemColumnMatchesEvaluate(t *testing.T) {
 						LoadFrac:     p.LoadFrac(),
 						Prefetch:     cfg.Prefetcher,
 						Mode:         opts.MLPMode,
-						DispatchRate: b.scr.invs[mi].deff,
+						DispatchRate: b.core.micros[mi].deff,
 					}
 					if mispred := float64(micro.Branches) * missRate; mispred > 0 {
 						prm.MispredictEvery = float64(micro.Len) / mispred
@@ -370,4 +371,169 @@ func TestMemColumnMatchesEvaluate(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestKernelKeyCompleteness holds the stored stages' keys to every field
+// they read: on one Compiled and one kernel, Reference() and then each of
+// its one-field variants must give what a fresh Compiled gives for the
+// variant. A key that left out a field the variant changes would hand the
+// variant Reference()'s stale column.
+func TestKernelKeyCompleteness(t *testing.T) {
+	variants := referenceVariants()
+	add := func(name string, edit func(c *config.Config)) {
+		c := config.Reference()
+		c.Name = "ref-" + name
+		edit(c)
+		variants = append(variants, c)
+	}
+	add("name", func(c *config.Config) { c.Name = "renamed" })
+	add("voltage", func(c *config.Config) { c.VoltageV = 1.3 })
+	add("l1i-latency", func(c *config.Config) { c.L1I.LatencyCycles = 3 })
+	add("l1i-name", func(c *config.Config) { c.L1I.Name = "icache" })
+	add("l1d-assoc", func(c *config.Config) { c.L1D.Assoc = 4 })
+	add("l1d-line", func(c *config.Config) { c.L1D.LineBytes = 32 })
+	add("l2-line", func(c *config.Config) { c.L2.LineBytes = 128 })
+	add("l3-assoc", func(c *config.Config) { c.L3.Assoc = 8 })
+	add("prefetcher-degree", func(c *config.Config) { c.Prefetcher.Enabled, c.Prefetcher.Degree = true, 4 })
+	add("ports-fewer", func(c *config.Config) { c.Ports = c.Ports[:len(c.Ports)-1] })
+	for _, name := range []string{"mcf", "gcc"} {
+		p := modelFor(t, name, 40_000).Profile
+		for _, o := range digestOptions[:4] {
+			c := New(p, digestFits).Compile(o.opts)
+			b := &Batch{c: c}
+			differ := 0
+			for _, v := range variants {
+				ref := evaluateOn(b, config.Reference())
+				got := evaluateOn(b, v)
+				want := evaluateOn(&Batch{c: New(p, digestFits).Compile(o.opts)}, v)
+				if resultDigest(got) != resultDigest(want) {
+					t.Errorf("%s/%s: %s after Reference() differs from a fresh Compiled", name, o.name, v.Name)
+				}
+				if resultDigest(ref) != resultDigest(want) {
+					differ++
+				}
+			}
+			if differ < len(variants)/2 {
+				t.Errorf("%s/%s: only %d of %d variants change the result", name, o.name, differ, len(variants))
+			}
+		}
+	}
+}
+
+// TestCoreColumnPastRemainderBound fills a Compiled's remainder list, then
+// alternates two remainders past the bound that share width and ROB: each
+// computes its own unstored core column, and must give what a fresh
+// Compiled gives.
+func TestCoreColumnPastRemainderBound(t *testing.T) {
+	p := modelFor(t, "gcc", 40_000).Profile
+	c := New(p, digestFits).Compile(DefaultOptions())
+	b := &Batch{c: c}
+	for i := 0; i < maxRemainders; i++ {
+		cfg := config.Reference()
+		cfg.FrontEndDepth = 1 + i
+		evaluateOn(b, cfg)
+	}
+	if n := len(*c.rems.Load()); n != maxRemainders {
+		t.Fatalf("%d remainders interned, want the bound %d", n, maxRemainders)
+	}
+	over := make([]*config.Config, 2)
+	for i := range over {
+		over[i] = config.Reference()
+		over[i].FrontEndDepth = 100 * (i + 1)
+	}
+	want := make([][32]byte, len(over))
+	for i, cfg := range over {
+		want[i] = resultDigest(evaluateOn(&Batch{c: New(p, digestFits).Compile(DefaultOptions())}, cfg))
+	}
+	if want[0] == want[1] {
+		t.Fatal("the two over-bound remainders give equal results; the test cannot tell them apart")
+	}
+	before := c.Stats().CoreColumns
+	for rep := 0; rep < 3; rep++ {
+		for i, cfg := range over {
+			if got := resultDigest(evaluateOn(b, cfg)); got != want[i] {
+				t.Fatalf("rep %d: over-bound remainder %d differs from a fresh Compiled", rep, i)
+			}
+			if got := resultDigest(c.Evaluate(cfg)); got != want[i] {
+				t.Fatalf("rep %d: pooled Evaluate of over-bound remainder %d differs from a fresh Compiled", rep, i)
+			}
+		}
+	}
+	if n := len(*c.rems.Load()); n != maxRemainders {
+		t.Errorf("%d remainders interned after the over-bound ones, want %d", n, maxRemainders)
+	}
+	if got := c.Stats().CoreColumns - before; got != 12 {
+		t.Errorf("%d core columns computed for 12 over-bound evaluations, want 12", got)
+	}
+}
+
+// TestCoreColumnsOncePerKey pins the core table's work on one goroutine:
+// one core column per distinct (port map, width, ROB) over Table 6.3 and
+// over a wide-space sample, and none on a second pass.
+func TestCoreColumnsOncePerKey(t *testing.T) {
+	p := modelFor(t, "mcf", 40_000).Profile
+	space := wideSpace()
+	rng := rand.New(rand.NewSource(22))
+	sample := make([]*config.Config, 2000)
+	keys := make(map[[2]int]bool)
+	for i := range sample {
+		sample[i] = space.At(rng.Intn(space.Size()))
+		// The port map follows the width, so (width, ROB) is the core key.
+		keys[[2]int{sample[i].DispatchWidth, sample[i].ROB}] = true
+	}
+	for _, tc := range []struct {
+		name string
+		cfgs []*config.Config
+		want int
+	}{
+		{"table 6.3", config.DesignSpace(), 9},
+		{"wide sample", sample, len(keys)},
+	} {
+		c := New(p, nil).Compile(DefaultOptions())
+		for pass := 0; pass < 2; pass++ {
+			if _, err := evaluateBatch(context.Background(), c, tc.cfgs); err != nil {
+				t.Fatal(err)
+			}
+			if got := c.Stats().CoreColumns; got != uint64(tc.want) {
+				t.Errorf("%s, pass %d: %d core columns computed, want %d", tc.name, pass, got, tc.want)
+			}
+		}
+	}
+}
+
+// TestConcurrentInterning evaluates configurations with more distinct
+// remainders than the bound from several goroutines on one Compiled, so
+// interning, the core and geometry tables and the over-bound path race
+// (under -race in CI); every result must equal a fresh Compiled's.
+func TestConcurrentInterning(t *testing.T) {
+	p := modelFor(t, "gcc", 40_000).Profile
+	var cfgs []*config.Config
+	for i := 0; i < maxRemainders+4; i++ {
+		for _, w := range []int{2, 4} {
+			cfg := config.Reference()
+			cfg.FrontEndDepth = 1 + i
+			cfg.DispatchWidth = w
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	want := make([][32]byte, len(cfgs))
+	for i, cfg := range cfgs {
+		want[i] = resultDigest(New(p, digestFits).Compile(DefaultOptions()).Evaluate(cfg))
+	}
+	c := New(p, digestFits).Compile(DefaultOptions())
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range cfgs {
+				i := (k*7 + g*5) % len(cfgs)
+				if got := resultDigest(c.Evaluate(cfgs[i])); got != want[i] {
+					t.Errorf("goroutine %d: config %d differs from a fresh Compiled", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -190,14 +190,6 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-type microEval struct {
-	stack   perf.CPIStack
-	deff    float64
-	mlp     float64
-	misses  float64 // LLC load misses in the micro-trace
-	limiter int
-}
-
 // averageLatency returns the mix-weighted uop execution latency, counting
 // loads at their L1/L2-hit cost (long misses are separate penalty terms).
 func averageLatency(mix [trace.NumClasses]float64, cfg *config.Config, mrL1 float64) float64 {
@@ -223,8 +215,7 @@ func averageLatency(mix [trace.NumClasses]float64, cfg *config.Config, mrL1 floa
 
 // effectiveDispatchLimits computes the port- and unit-contention dispatch
 // bounds — functions of the uop mix and the port/FU tables only, never of
-// latency, window or clock, so batch kernels cache them per micro across
-// whole grid sweeps.
+// latency, window or clock, so a core column computes them once.
 //
 //mipp:hotpath
 func effectiveDispatchLimits(mix [trace.NumClasses]float64, cfg *config.Config, scr *scratch) (portD, unitD float64) {

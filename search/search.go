@@ -29,8 +29,10 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"mipp/arch"
 )
@@ -328,6 +330,36 @@ type Runner struct {
 // the space.
 const seenSlabMax = 1 << 22
 
+// seenSlabs pools memo slabs by capacity class: class c holds slabs of
+// capacity 1<<c, every entry zero, for spaces of up to 1<<c points. A run
+// clears only the entries it recorded before it returns its slab, so a
+// search on a large space does not allocate and zero a whole slab per job.
+var seenSlabs [23]sync.Pool // classes 0..22: up to seenSlabMax points
+
+// getSeenSlab returns a zeroed slab of length n <= seenSlabMax.
+func getSeenSlab(n int) []int32 {
+	class := bits.Len(uint(n - 1))
+	if p, ok := seenSlabs[class].Get().(*[]int32); ok {
+		return (*p)[:n]
+	}
+	return make([]int32, n, 1<<class)
+}
+
+// release clears the entries the run recorded — every one sits at an
+// evals position, since budget refusals roll their reservations back — and
+// returns the slab to its pool. The runner must not be used afterwards.
+func (r *Runner) release() {
+	if r.seenSlab == nil {
+		return
+	}
+	for i := range r.evals {
+		r.seenSlab[r.evals[i].Index] = 0
+	}
+	slab := r.seenSlab[:cap(r.seenSlab)]
+	r.seenSlab = nil
+	seenSlabs[bits.Len(uint(len(slab)-1))].Put(&slab)
+}
+
 func newRunner(space *arch.Space, ev Evaluator, opts Options) *Runner {
 	hint := opts.Budget
 	if hint <= 0 || hint > 1<<20 {
@@ -342,7 +374,7 @@ func newRunner(space *arch.Space, ev Evaluator, opts Options) *Runner {
 		best:  -1,
 	}
 	if n := space.Size(); n <= seenSlabMax {
-		r.seenSlab = make([]int32, n)
+		r.seenSlab = getSeenSlab(n)
 	} else {
 		r.seen = make(map[int]int32, hint)
 	}
@@ -693,6 +725,7 @@ func Run(ctx context.Context, ev Evaluator, space *arch.Space, st Strategy, opts
 		return nil, fmt.Errorf("search: negative budget %d", opts.Budget)
 	}
 	r := newRunner(space, ev, opts)
+	defer r.release()
 	if err := st.Search(ctx, r); err != nil {
 		return nil, err
 	}

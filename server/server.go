@@ -44,6 +44,7 @@ import (
 	"errors"
 	"log"
 	"net/http"
+	"sync"
 	"time"
 
 	"mipp"
@@ -467,17 +468,39 @@ func statusFor(err error) int {
 	return http.StatusInternalServerError
 }
 
-// writeJSON answers status with v as JSON. json.Encoder marshals the whole
-// value before its one Write, so the status goes out with that Write: a
-// value that fails to marshal (a non-finite float, say) answers 500 with an
-// error envelope instead of status with an empty body.
+// writeJSON answers status with v as JSON. The whole value is encoded
+// before its one Write, so the status goes out with that Write: a value
+// that fails to encode (a non-finite float, say) answers 500 with an error
+// envelope instead of status with an empty body. Evaluate answers, the
+// largest bodies, are written by api.AppendBatchResponse into a pooled
+// buffer, byte for byte what json.Encoder writes.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	sw := statusOnWrite{ResponseWriter: w, status: status}
+	if resp, ok := v.(*api.BatchResponse); ok {
+		bp := answerBufs.Get().(*[]byte)
+		b, err := api.AppendBatchResponse((*bp)[:0], resp)
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, err)
+		} else {
+			sw.Write(b)
+		}
+		if cap(b) <= maxPooledAnswer {
+			*bp = b
+			answerBufs.Put(bp)
+		}
+		return
+	}
 	if err := json.NewEncoder(&sw).Encode(v); err != nil && !sw.wrote {
 		writeError(w, http.StatusInternalServerError, err)
 	}
 }
+
+// answerBufs pools the buffers evaluate answers are encoded into; a buffer
+// grown past maxPooledAnswer by one large answer is left to the collector.
+var answerBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledAnswer = 4 << 20
 
 // statusOnWrite writes the status header on the first Write, so nothing is
 // committed before the encoder has a body to send.
