@@ -17,6 +17,8 @@ import (
 	"mipp"
 	"mipp/arch"
 	"mipp/internal/core"
+	"mipp/internal/profiler"
+	"mipp/internal/workload"
 )
 
 // TestPredictBatchEquivalence is the acceptance guarantee of the compile →
@@ -100,6 +102,39 @@ func TestPredictBatchPerItemErrors(t *testing.T) {
 	for _, i := range []int{1, 2} {
 		if errs[i] == nil || results[i] != nil {
 			t.Errorf("item %d: result=%v err=%v, want per-item error", i, results[i], errs[i])
+		}
+	}
+}
+
+// TestPredictLimiter pins the façade's Figure 3.6 counts: Result.Limiter
+// counts every micro-trace of the profile once, and equals the kernel row's
+// counts for the same configuration.
+func TestPredictLimiter(t *testing.T) {
+	raw := profiler.Run(workload.MustGenerate("gcc", 100_000, 0), profiler.Options{})
+	pd, err := mipp.NewPredictor(mipp.WrapProfile(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := core.Compile(raw, nil, core.DefaultOptions())
+	for _, cfg := range arch.DesignSpaceSample(13) {
+		res, err := pd.Predict(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := 0.0
+		for _, n := range res.Limiter {
+			sum += n
+		}
+		if sum != float64(len(raw.Micros)) {
+			t.Errorf("%s: limiter counts %v sum to %v, want the %d micro-traces", cfg.Name, res.Limiter, sum, len(raw.Micros))
+		}
+		var br core.BatchResult
+		c.PrepareBatch(&br, 1)
+		if err := c.EvaluateRangeInto(context.Background(), []*arch.Config{cfg}, &br, 0); err != nil {
+			t.Fatal(err)
+		}
+		if want := br.Row(0).Limiter; res.Limiter != want {
+			t.Errorf("%s: limiter %v, kernel row %v", cfg.Name, res.Limiter, want)
 		}
 	}
 }

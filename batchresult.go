@@ -83,6 +83,7 @@ func (br *BatchResult) fill(i int) *Result {
 		MLP:            row.MLP,
 		BranchMissRate: row.BranchMissRate,
 		MicroCPI:       row.MicroCPI,
+		Limiter:        row.Limiter,
 	}
 	return &br.fres
 }

@@ -78,6 +78,3 @@ func (s *StackSim) Access(line uint64) int {
 	s.mark[s.time] = true
 	return dist
 }
-
-// Unique returns the number of distinct lines seen so far.
-func (s *StackSim) Unique() int { return len(s.lastTime) }

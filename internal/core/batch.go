@@ -165,12 +165,12 @@ func makeKey(cfg *config.Config) nonClockKey {
 }
 
 // Batch is the evaluation kernel: single-goroutine, with persistent scratch
-// buffers and the DVFS fast-path state. Every entry point (Evaluate,
-// EvaluateRangeInto) borrows one from its Compiled's pool for the duration
-// of a call. Per configuration it makes three lookups in the Compiled's
-// stored stages — the core column, the geometry entry and the memory column
-// — then one short loop over the micro-traces for the terms that read both
-// the core and the geometry, and finish. When consecutive configurations
+// buffers and the DVFS fast-path state. EvaluateRangeInto, the one entry
+// point, borrows one from its Compiled's pool for the duration of a call.
+// Per configuration it makes three lookups in the Compiled's stored stages
+// — the core column, the geometry entry and the memory column — then one
+// short loop over the micro-traces for the terms that read both the core
+// and the geometry, and finish. When consecutive configurations
 // share their nonClockKey and port map, it skips all but the memory-column
 // lookup and finish, so a sweep cycling through a DVFS axis does one lookup
 // and pure arithmetic per point.

@@ -11,11 +11,11 @@ import (
 	"mipp/internal/mlp"
 )
 
-// coldEvaluate evaluates cfg on a fresh Compiled for c's model and options
-// — empty memo tables and a kernel with no DVFS key — so it shares no
-// stored column with the kernel under test.
+// coldEvaluate evaluates cfg on a fresh Compiled for c's profile, fits and
+// options — empty memo tables and a kernel with no DVFS key — so it shares
+// no stored column with the kernel under test.
 func coldEvaluate(c *Compiled, cfg *config.Config) *Result {
-	return evaluateOn(&Batch{c: newCompiled(c.model, c.opts)}, cfg)
+	return evaluateOn(&Batch{c: Compile(c.profile, c.fits, c.opts)}, cfg)
 }
 
 // evaluateOn evaluates cfg on kernel b into a fresh Result.
@@ -23,6 +23,14 @@ func evaluateOn(b *Batch, cfg *config.Config) *Result {
 	res := &Result{MicroCPI: make([]float64, 0, len(b.c.micros))}
 	b.evaluateInto(cfg, res)
 	return res
+}
+
+// evaluate evaluates cfg as a batch of one on a kernel from c's pool, as
+// EvaluateRangeInto does.
+func evaluate(c *Compiled, cfg *config.Config) *Result {
+	b := c.batches.Get().(*Batch)
+	defer c.putBatch(b)
+	return evaluateOn(b, cfg)
 }
 
 // rowResult materializes slot i of br as a standalone *Result.
@@ -49,12 +57,12 @@ func evaluateBatch(ctx context.Context, c *Compiled, cfgs []*config.Config) ([]*
 
 // TestEvaluateBatchIntoGolden is the byte-identity guarantee of the
 // batched kernel: over the full 243-point reference design space
-// and the option variants, the batched rows, the pooled single-config
-// Evaluate and a cold kernel per configuration marshal to exactly the same
+// and the option variants, the batched rows, a batch of one on a pooled
+// kernel and a cold kernel per configuration marshal to exactly the same
 // JSON. The BatchResult is reused across option variants (distinct compiled
 // kernels), exercising the grown-once-reused-forever buffer contract.
 func TestEvaluateBatchIntoGolden(t *testing.T) {
-	m := modelFor(t, "mcf", 60_000)
+	p := profileFor(t, "mcf", 60_000)
 	configs := config.DesignSpace()
 	if len(configs) != 243 {
 		t.Fatalf("design space has %d configs, want 243", len(configs))
@@ -66,7 +74,7 @@ func TestEvaluateBatchIntoGolden(t *testing.T) {
 		{MLPMode: mlp.StrideMLP, Combined: true, BranchMissRate: -1},
 		{MLPMode: mlp.StrideMLP, NoLLCChain: true, NoBusQueue: true, BranchMissRate: -1},
 	} {
-		c := m.Compile(opts)
+		c := Compile(p, nil, opts)
 		c.PrepareBatch(&br, len(configs))
 		if err := c.EvaluateRangeInto(context.Background(), configs, &br, 0); err != nil {
 			t.Fatal(err)
@@ -87,12 +95,12 @@ func TestEvaluateBatchIntoGolden(t *testing.T) {
 				t.Fatalf("opts %+v: batched slot %d (%s) differs from a cold kernel:\nbatch: %s\ncold:  %s",
 					opts, i, cfg.Name, got, want)
 			}
-			single, err := json.Marshal(c.Evaluate(cfg))
+			single, err := json.Marshal(evaluate(c, cfg))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if string(want) != string(single) {
-				t.Fatalf("opts %+v: Evaluate of %d (%s) differs from a cold kernel", opts, i, cfg.Name)
+				t.Fatalf("opts %+v: pooled evaluation of %d (%s) differs from a cold kernel", opts, i, cfg.Name)
 			}
 		}
 	}
@@ -103,8 +111,7 @@ func TestEvaluateBatchIntoGolden(t *testing.T) {
 // stay deeply equal to a cold kernel, including across a mid-sweep key
 // change (which must invalidate the cached per-clock columns) and back.
 func TestDVFSFastPathGolden(t *testing.T) {
-	m := modelFor(t, "soplex", 60_000)
-	c := m.Compile(DefaultOptions())
+	c := Compile(profileFor(t, "soplex", 60_000), nil, DefaultOptions())
 
 	base := config.Reference()
 	var clockOnly []*config.Config
@@ -147,8 +154,7 @@ func TestDVFSFastPathGolden(t *testing.T) {
 // land at their offset, nil configurations leave their slot invalid, and
 // valid slots match a cold kernel.
 func TestEvaluateRangeIntoNilAndOffset(t *testing.T) {
-	m := modelFor(t, "gamess", 60_000)
-	c := m.Compile(DefaultOptions())
+	c := Compile(profileFor(t, "gamess", 60_000), nil, DefaultOptions())
 	configs := config.DesignSpace()[:9]
 	configs[4] = nil
 
@@ -180,8 +186,7 @@ func TestEvaluateRangeIntoNilAndOffset(t *testing.T) {
 // drops every name written since the last Release, even when a smaller
 // PrepareBatch shrank the batch in between.
 func TestBatchResultReleaseClearsEveryWrittenRow(t *testing.T) {
-	m := modelFor(t, "gamess", 60_000)
-	c := m.Compile(DefaultOptions())
+	c := Compile(profileFor(t, "gamess", 60_000), nil, DefaultOptions())
 	configs := config.DesignSpace()[:20]
 	var br BatchResult
 	c.PrepareBatch(&br, len(configs))
@@ -202,8 +207,7 @@ func TestBatchResultReleaseClearsEveryWrittenRow(t *testing.T) {
 // that buffer belonged to, or the next same-key evaluation would finish
 // over an empty buffer.
 func TestPutBatchTrimInvalidatesKey(t *testing.T) {
-	m := modelFor(t, "gamess", 60_000)
-	c := m.Compile(DefaultOptions())
+	c := Compile(profileFor(t, "gamess", 60_000), nil, DefaultOptions())
 	cfg := config.Reference()
 	b := &Batch{c: c}
 	want := evaluateOn(b, cfg)

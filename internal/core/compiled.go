@@ -20,8 +20,8 @@ import (
 )
 
 // Compiled is phase 1 of the model's compile → evaluate split: everything
-// derivable from the (profile, option-set) pair alone, computed once and
-// queried by any number of configuration evaluations. Eagerly it holds the
+// derivable from the profile, its entropy fits and the option set alone,
+// computed once and queried by any number of configuration evaluations. Eagerly it holds the
 // StatStack curve set, the per-micro-trace mixes and compiled MLP models,
 // and the config-invariant MLP parameter template; lazily it memoizes the
 // quantities that depend on only a slice of the configuration — the
@@ -42,8 +42,11 @@ import (
 // service fed adversarial client-chosen geometries therefore holds bounded
 // state per (workload, option-set) kernel.
 type Compiled struct {
-	model *Model
-	opts  Options
+	profile *profiler.Profile
+	// fits maps a predictor name to its linear branch entropy →
+	// misprediction rate fit (Figure 3.9); see missRateFor.
+	fits map[string]func(float64) float64
+	opts Options
 
 	// micros is the evaluation unit list (the profile's micro-traces, or
 	// one combined pseudo-trace under Options.Combined), with their mixes
@@ -85,7 +88,7 @@ type Compiled struct {
 	loadDeps *memo.Table[int, *stats.Histogram]
 
 	// batches pools warm evaluation kernels — scratch buffers and the DVFS
-	// fast-path state — for every evaluation entry point.
+	// fast-path state — for EvaluateRangeInto.
 	batches sync.Pool
 }
 
@@ -186,8 +189,7 @@ type remEntry struct {
 // count, the DRAM latency in cycles (the clock enters only through it), the
 // LLC line count, the prefetcher and the branch miss rate, from which each
 // micro-trace's misprediction distance follows. The load fraction and MLP
-// mode are fixed per Compiled. No MLP model reads the L1/L2 line counts,
-// the bus occupancy or the dispatch rate, so they are not part of the key.
+// mode, the rest of mlp.Params, are fixed per Compiled.
 type memKey struct {
 	rob, mshrs int
 	latCycles  int
@@ -215,16 +217,19 @@ type branchKey struct {
 	mispred    float64
 }
 
-// newCompiled runs phase 1 for one (profile, option-set) pair.
-func newCompiled(m *Model, opts Options) *Compiled {
-	p := m.Profile
+// Compile runs phase 1 for one (profile, option-set) pair. fits maps a
+// predictor name to its linear branch entropy → misprediction rate fit
+// (Figure 3.9); it may be nil, and a predictor without a fit uses the
+// asymptotic missrate ≈ entropy/2 relation.
+func Compile(p *profiler.Profile, fits map[string]func(float64) float64, opts Options) *Compiled {
 	micros := p.Micros
 	if opts.Combined {
 		micros = []*profiler.Micro{combineMicros(p)}
 	}
 	curves := statstack.Compile(p)
 	c := &Compiled{
-		model:      m,
+		profile:    p,
+		fits:       fits,
 		opts:       opts,
 		micros:     micros,
 		microMixes: make([][trace.NumClasses]float64, len(micros)),
@@ -257,6 +262,20 @@ func newCompiled(m *Model, opts Options) *Compiled {
 	}
 	c.batches.New = func() any { return &Batch{c: c} }
 	return c
+}
+
+// Profile returns the profile c was compiled from.
+func (c *Compiled) Profile() *profiler.Profile { return c.profile }
+
+// missRateFor returns the predicted branch misprediction rate for a
+// predictor from the profile's linear branch entropy.
+func (c *Compiled) missRateFor(predictor string) float64 {
+	if f, ok := c.fits[predictor]; ok {
+		return clamp01(f(c.profile.Entropy))
+	}
+	// Asymptotic fallback: E(p)=2·min(p,1-p) ⇒ missrate ≈ E/2 for a
+	// predictor that has learned the pattern.
+	return clamp01(c.profile.Entropy / 2)
 }
 
 // CompiledStats counts the work the compile-phase memo tables computed.
@@ -307,7 +326,7 @@ func (c *Compiled) predictGeometry(k geomKey) *geomEntry {
 	}
 	// Global store miss ratio for bus contention (Eq 4.6).
 	llcStats := e.pred.Levels[len(e.pred.Levels)-1]
-	if p := c.model.Profile; p.TotalUops > 0 {
+	if p := c.profile; p.TotalUops > 0 {
 		e.storeMissPerUop = llcStats.StoreMisses / float64(p.TotalUops)
 	}
 	l1, l2, llc := float64(k.l1d.Lines()), float64(k.l2.Lines()), float64(k.l3.Lines())
@@ -407,7 +426,7 @@ func (c *Compiled) fillCore(col *coreCol, cfg *config.Config, scr *scratch) {
 	col.limiter = [4]float64{}
 	col.missRate = c.opts.BranchMissRate
 	if col.missRate < 0 {
-		col.missRate = c.model.missRateFor(cfg.Predictor)
+		col.missRate = c.missRateFor(cfg.Predictor)
 	}
 	col.f1 = 0
 	if !c.opts.NoLLCChain {
@@ -491,7 +510,7 @@ func (c *Compiled) chainAt(mi, rob int) (ap, abp, cp float64) {
 // loadDepHist returns the memoized profile-level merged inter-load
 // dependence histogram of the profiled ROB size the window quantizes to.
 func (c *Compiled) loadDepHist(rob int) *stats.Histogram {
-	return c.loadDeps.Get(max(c.model.Profile.Opts.ROBIndexFor(rob), 0))
+	return c.loadDeps.Get(max(c.profile.Opts.ROBIndexFor(rob), 0))
 }
 
 // scratch holds the reusable buffers of one evaluation kernel, so a batched
@@ -549,19 +568,6 @@ func (s *scratch) trim() {
 	}
 }
 
-// Evaluate predicts performance for one configuration: a batch of one on a
-// pooled kernel, so single and batched evaluation run the same stages with
-// the same caches. Safe for concurrent use.
-//
-//mipp:hotpath
-func (c *Compiled) Evaluate(cfg *config.Config) *Result {
-	b := c.batches.Get().(*Batch)
-	res := &Result{MicroCPI: make([]float64, 0, len(c.micros))}
-	b.evaluateInto(cfg, res)
-	c.putBatch(b)
-	return res
-}
-
 // putBatch returns a kernel to c.batches, first trimming the scratch
 // buffers a pathological configuration grew. Dropping the pre-DRAM buffer
 // (and with it the unstored core column, which has the same length)
@@ -612,7 +618,7 @@ func (c *Compiled) memColumn(k memKey) []mlp.MicroMem {
 //
 //mipp:hotpath
 func (c *Compiled) finish(cfg *config.Config, core *coreCol, ge *geomEntry, pre []float64, llcSum float64, mems []mlp.MicroMem, mem memory.Config, res *Result) {
-	p := c.model.Profile
+	p := c.profile
 	res.Config = cfg.Name
 	res.Workload = p.Workload
 	res.Cycles = 0
@@ -795,7 +801,7 @@ func (c *Compiled) llcChainPenalty(mi int, cfg *config.Config, deff, mrL2, mrLLC
 
 // fillActivity derives the predicted activity factors (Eq 3.16).
 func (c *Compiled) fillActivity(res *Result, pred *statstack.Prediction) {
-	p := c.model.Profile
+	p := c.profile
 	a := &res.Activity
 	a.Cycles = res.Cycles
 	a.UopsDispatched = float64(p.TotalUops)

@@ -21,8 +21,7 @@ import (
 // StatStack once, and the second evaluation must return ratios identical to
 // the first (a memo hit returns exactly what a fresh prediction would).
 func TestGeometryMemoOnePredictPerGeometry(t *testing.T) {
-	m := modelFor(t, "mcf", 60_000)
-	c := m.Compile(DefaultOptions())
+	c := Compile(profileFor(t, "mcf", 60_000), nil, DefaultOptions())
 
 	// Same geometry, different frequency and ROB — a DVFS/window sweep.
 	a := config.Reference()
@@ -31,8 +30,8 @@ func TestGeometryMemoOnePredictPerGeometry(t *testing.T) {
 	b.FrequencyGHz = 1.6
 	b.VoltageV = 0.95
 	b.ROB = 256
-	ra := c.Evaluate(a)
-	rb := c.Evaluate(b)
+	ra := evaluate(c, a)
+	rb := evaluate(c, b)
 
 	st := c.Stats()
 	if st.StatStackPredicts != 1 {
@@ -48,7 +47,7 @@ func TestGeometryMemoOnePredictPerGeometry(t *testing.T) {
 	d := config.Reference()
 	d.Name = "llc2m"
 	d.L3.SizeBytes = 2 << 20
-	c.Evaluate(d)
+	evaluate(c, d)
 	if st := c.Stats(); st.StatStackPredicts != 2 {
 		t.Errorf("new geometry ran StatStack %d times total, want 2", st.StatStackPredicts)
 	}
@@ -58,13 +57,12 @@ func TestGeometryMemoOnePredictPerGeometry(t *testing.T) {
 // identical values on hit and that a same-geometry re-evaluation computes
 // no new ratios.
 func TestMissRatioMemoIdentical(t *testing.T) {
-	m := modelFor(t, "soplex", 60_000)
-	c := m.Compile(DefaultOptions())
+	c := Compile(profileFor(t, "soplex", 60_000), nil, DefaultOptions())
 	cfg := config.Reference()
 
-	first := c.Evaluate(cfg)
+	first := evaluate(c, cfg)
 	afterFirst := c.Stats()
-	second := c.Evaluate(cfg)
+	second := evaluate(c, cfg)
 	afterSecond := c.Stats()
 
 	if afterSecond.MissRatioComputes != afterFirst.MissRatioComputes {
@@ -80,13 +78,13 @@ func TestMissRatioMemoIdentical(t *testing.T) {
 // guarantee: a batched evaluation with reused scratch buffers must produce
 // results deeply equal to a cold kernel per configuration, in input order.
 func TestEvaluateBatchMatchesSequential(t *testing.T) {
-	m := modelFor(t, "gcc", 60_000)
+	p := profileFor(t, "gcc", 60_000)
 	for _, opts := range []Options{
 		DefaultOptions(),
 		{MLPMode: mlp.ColdMiss, BranchMissRate: -1},
 		{MLPMode: mlp.StrideMLP, Combined: true, BranchMissRate: -1},
 	} {
-		c := m.Compile(opts)
+		c := Compile(p, nil, opts)
 		configs := config.DesignSpace()[:30]
 		batch, err := evaluateBatch(context.Background(), c, configs)
 		if err != nil {
@@ -104,8 +102,7 @@ func TestEvaluateBatchMatchesSequential(t *testing.T) {
 // TestEvaluateBatchCancellation asserts the kernel checks the context
 // between configurations, not only at batch boundaries.
 func TestEvaluateBatchCancellation(t *testing.T) {
-	m := modelFor(t, "gamess", 60_000)
-	c := m.Compile(DefaultOptions())
+	c := Compile(profileFor(t, "gamess", 60_000), nil, DefaultOptions())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	out, err := evaluateBatch(ctx, c, config.DesignSpace()[:10])
@@ -124,19 +121,18 @@ func TestEvaluateBatchCancellation(t *testing.T) {
 // nothing but speed: an evaluation whose memo entry was never stored still
 // returns exactly what the cached evaluation returned.
 func TestMemoOverflowIdentical(t *testing.T) {
-	m := modelFor(t, "mcf", 60_000)
-	c := m.Compile(DefaultOptions())
+	c := Compile(profileFor(t, "mcf", 60_000), nil, DefaultOptions())
 	base := config.Reference()
-	first := c.Evaluate(base)
+	first := evaluate(c, base)
 	// 70 distinct L3 line counts (> maxColumnEntries = 64); line-multiple
 	// sizes keep the geometry meaningful without needing Validate.
 	for i := 0; i < 70; i++ {
 		cfg := config.Reference()
 		cfg.Name = "flood"
 		cfg.L3.SizeBytes = int64(1<<20 + (i+1)*64*1024)
-		c.Evaluate(cfg)
+		evaluate(c, cfg)
 	}
-	again := c.Evaluate(base)
+	again := evaluate(c, base)
 	if !reflect.DeepEqual(first, again) {
 		t.Fatal("evaluation after memo overflow differs from the original")
 	}
@@ -175,17 +171,17 @@ func TestStrideColumnsOncePerKey(t *testing.T) {
 		cfgs[i] = space.At(rng.Intn(space.Size()))
 	}
 	for _, name := range []string{"mcf", "gcc"} {
-		m := modelFor(t, name, 100_000)
+		p := profileFor(t, name, 100_000)
 		llcs, robs := make(map[int64]bool), make(map[int]bool)
 		for _, cfg := range cfgs {
 			llcs[cfg.L3.Lines()] = true
-			robs[m.Profile.Opts.ROBIndexFor(cfg.ROB)] = true
+			robs[p.Opts.ROBIndexFor(cfg.ROB)] = true
 		}
 		if len(llcs) != 8 || len(robs) != 12 {
 			t.Fatalf("%s: configs span %d LLC sizes and %d ROB indices, want 8 and 12", name, len(llcs), len(robs))
 		}
 		withLoads := 0
-		for _, micro := range m.Profile.Micros {
+		for _, micro := range p.Micros {
 			for _, sl := range micro.Loads {
 				if sl.Count > 0 {
 					withLoads++
@@ -196,7 +192,7 @@ func TestStrideColumnsOncePerKey(t *testing.T) {
 		if withLoads == 0 {
 			t.Fatalf("%s: no micro-trace has loads", name)
 		}
-		c := m.Compile(DefaultOptions())
+		c := Compile(p, nil, DefaultOptions())
 		if _, err := evaluateBatch(context.Background(), c, cfgs); err != nil {
 			t.Fatal(err)
 		}
@@ -211,12 +207,12 @@ func TestStrideColumnsOncePerKey(t *testing.T) {
 }
 
 // TestMemoOrderIndependent fills the shared memo tables in two orders: two
-// fresh Models over one profile evaluate the same configurations, one in
+// fresh Compileds over one profile evaluate the same configurations, one in
 // input order and one in a seeded permutation, and the results must marshal
 // to the same bytes. The goldens compare warm and cold kernels on one
 // shared Compiled, so they never fill the tables in two orders.
 func TestMemoOrderIndependent(t *testing.T) {
-	p := modelFor(t, "mcf", 60_000).Profile
+	p := profileFor(t, "mcf", 60_000)
 	cfgs := config.DesignSpace()
 	wide := &config.Space{
 		Widths:     []int{2, 4, 6},
@@ -231,14 +227,14 @@ func TestMemoOrderIndependent(t *testing.T) {
 	}
 	perm := rng.Perm(len(cfgs))
 	for _, opts := range []Options{DefaultOptions(), {MLPMode: mlp.ColdMiss, BranchMissRate: -1}} {
-		inOrder, permuted := New(p, nil).Compile(opts), New(p, nil).Compile(opts)
+		inOrder, permuted := Compile(p, nil, opts), Compile(p, nil, opts)
 		want := make([]*Result, len(cfgs))
 		for i, cfg := range cfgs {
-			want[i] = inOrder.Evaluate(cfg)
+			want[i] = evaluate(inOrder, cfg)
 		}
 		got := make([]*Result, len(cfgs))
 		for _, i := range perm {
-			got[i] = permuted.Evaluate(cfgs[i])
+			got[i] = evaluate(permuted, cfgs[i])
 		}
 		for i := range cfgs {
 			w, err := json.Marshal(want[i])
@@ -257,36 +253,12 @@ func TestMemoOrderIndependent(t *testing.T) {
 	}
 }
 
-// TestModelEvaluateSharesCompiledKernel asserts the legacy single-config
-// path reuses the compiled kernel — the hoisted config-invariant state —
-// rather than recompiling per call.
-func TestModelEvaluateSharesCompiledKernel(t *testing.T) {
-	m := modelFor(t, "gobmk", 60_000)
-	if m.Compile(DefaultOptions()) != m.Compile(DefaultOptions()) {
-		t.Fatal("Compile(opts) not cached per option set")
-	}
-	cfg := config.Reference()
-	m.Evaluate(cfg, DefaultOptions())
-	m.Evaluate(cfg, DefaultOptions())
-	st := m.Compile(DefaultOptions()).Stats()
-	if st.StatStackPredicts != 1 {
-		t.Errorf("legacy Evaluate ran StatStack %d times for one geometry, want 1", st.StatStackPredicts)
-	}
-	// A different option set compiles its own kernel.
-	other := DefaultOptions()
-	other.NoLLCChain = true
-	if m.Compile(other) == m.Compile(DefaultOptions()) {
-		t.Fatal("distinct option sets share a kernel")
-	}
-}
-
 // TestMemColumnMatchesEvaluate holds the shared memory-column table to the
 // one-shot MLP model: for every configuration, each micro-trace's entry in
 // the column the kernel read must equal mlp.Evaluate bit for bit, called
-// with the full parameter set the core model derives — L1/L2 line counts,
-// bus cycles and dispatch rate included, though the column key leaves them
-// out. The configurations are Table 6.3 plus seeded wide-space points whose
-// MSHR count and predictor vary, and the Model fits two predictors to
+// with the parameter set the core model derives from the configuration.
+// The configurations are Table 6.3 plus seeded wide-space points whose
+// MSHR count and predictor vary, and the Compiled fits two predictors to
 // different miss rates, so a column shared across MSHR counts or miss rates
 // would be read by a configuration it does not belong to. One goroutine
 // computes exactly one column per distinct memory key.
@@ -313,15 +285,14 @@ func TestMemColumnMatchesEvaluate(t *testing.T) {
 		missRate        float64
 	}
 	for _, name := range []string{"gcc", "milc"} {
-		p := modelFor(t, name, 40_000).Profile
+		p := profileFor(t, name, 40_000)
 		for _, opts := range []Options{
 			DefaultOptions(),
 			{MLPMode: mlp.ColdMiss, BranchMissRate: -1},
 			{MLPMode: mlp.None, BranchMissRate: -1},
 			{MLPMode: mlp.StrideMLP, BranchMissRate: 0.3},
 		} {
-			m := New(p, fits)
-			c := m.Compile(opts)
+			c := Compile(p, fits, opts)
 			b := &Batch{c: c}
 			keys := make(map[key]bool)
 			for _, cfg := range cfgs {
@@ -330,7 +301,7 @@ func TestMemColumnMatchesEvaluate(t *testing.T) {
 				col := b.memColumn(cfg, mem)
 				missRate := opts.BranchMissRate
 				if missRate < 0 {
-					missRate = m.missRateFor(cfg.Predictor)
+					missRate = c.missRateFor(cfg.Predictor)
 				}
 				keys[key{cfg.ROB, cfg.MSHRs, mem.LatencyCycles, cfg.L3.Lines(), cfg.Prefetcher, missRate}] = true
 				for mi, micro := range c.micros {
@@ -341,17 +312,13 @@ func TestMemColumnMatchesEvaluate(t *testing.T) {
 						continue
 					}
 					prm := mlp.Params{
-						ROB:          cfg.ROB,
-						MSHRs:        cfg.MSHRs,
-						MemLatency:   mem.LatencyCycles,
-						BusPerLine:   mem.BusCyclesPerLine,
-						L1Lines:      float64(cfg.L1D.Lines()),
-						L2Lines:      float64(cfg.L2.Lines()),
-						LLCLines:     float64(cfg.L3.Lines()),
-						LoadFrac:     p.LoadFrac(),
-						Prefetch:     cfg.Prefetcher,
-						Mode:         opts.MLPMode,
-						DispatchRate: b.core.micros[mi].deff,
+						ROB:        cfg.ROB,
+						MSHRs:      cfg.MSHRs,
+						MemLatency: mem.LatencyCycles,
+						LLCLines:   float64(cfg.L3.Lines()),
+						LoadFrac:   p.LoadFrac(),
+						Prefetch:   cfg.Prefetcher,
+						Mode:       opts.MLPMode,
 					}
 					if mispred := float64(micro.Branches) * missRate; mispred > 0 {
 						prm.MispredictEvery = float64(micro.Len) / mispred
@@ -397,15 +364,15 @@ func TestKernelKeyCompleteness(t *testing.T) {
 	add("prefetcher-degree", func(c *config.Config) { c.Prefetcher.Enabled, c.Prefetcher.Degree = true, 4 })
 	add("ports-fewer", func(c *config.Config) { c.Ports = c.Ports[:len(c.Ports)-1] })
 	for _, name := range []string{"mcf", "gcc"} {
-		p := modelFor(t, name, 40_000).Profile
+		p := profileFor(t, name, 40_000)
 		for _, o := range digestOptions[:4] {
-			c := New(p, digestFits).Compile(o.opts)
+			c := Compile(p, digestFits, o.opts)
 			b := &Batch{c: c}
 			differ := 0
 			for _, v := range variants {
 				ref := evaluateOn(b, config.Reference())
 				got := evaluateOn(b, v)
-				want := evaluateOn(&Batch{c: New(p, digestFits).Compile(o.opts)}, v)
+				want := evaluateOn(&Batch{c: Compile(p, digestFits, o.opts)}, v)
 				if resultDigest(got) != resultDigest(want) {
 					t.Errorf("%s/%s: %s after Reference() differs from a fresh Compiled", name, o.name, v.Name)
 				}
@@ -425,8 +392,8 @@ func TestKernelKeyCompleteness(t *testing.T) {
 // computes its own unstored core column, and must give what a fresh
 // Compiled gives.
 func TestCoreColumnPastRemainderBound(t *testing.T) {
-	p := modelFor(t, "gcc", 40_000).Profile
-	c := New(p, digestFits).Compile(DefaultOptions())
+	p := profileFor(t, "gcc", 40_000)
+	c := Compile(p, digestFits, DefaultOptions())
 	b := &Batch{c: c}
 	for i := 0; i < maxRemainders; i++ {
 		cfg := config.Reference()
@@ -443,7 +410,7 @@ func TestCoreColumnPastRemainderBound(t *testing.T) {
 	}
 	want := make([][32]byte, len(over))
 	for i, cfg := range over {
-		want[i] = resultDigest(evaluateOn(&Batch{c: New(p, digestFits).Compile(DefaultOptions())}, cfg))
+		want[i] = resultDigest(evaluateOn(&Batch{c: Compile(p, digestFits, DefaultOptions())}, cfg))
 	}
 	if want[0] == want[1] {
 		t.Fatal("the two over-bound remainders give equal results; the test cannot tell them apart")
@@ -454,8 +421,8 @@ func TestCoreColumnPastRemainderBound(t *testing.T) {
 			if got := resultDigest(evaluateOn(b, cfg)); got != want[i] {
 				t.Fatalf("rep %d: over-bound remainder %d differs from a fresh Compiled", rep, i)
 			}
-			if got := resultDigest(c.Evaluate(cfg)); got != want[i] {
-				t.Fatalf("rep %d: pooled Evaluate of over-bound remainder %d differs from a fresh Compiled", rep, i)
+			if got := resultDigest(evaluate(c, cfg)); got != want[i] {
+				t.Fatalf("rep %d: pooled evaluation of over-bound remainder %d differs from a fresh Compiled", rep, i)
 			}
 		}
 	}
@@ -471,7 +438,7 @@ func TestCoreColumnPastRemainderBound(t *testing.T) {
 // one core column per distinct (port map, width, ROB) over Table 6.3 and
 // over a wide-space sample, and none on a second pass.
 func TestCoreColumnsOncePerKey(t *testing.T) {
-	p := modelFor(t, "mcf", 40_000).Profile
+	p := profileFor(t, "mcf", 40_000)
 	space := wideSpace()
 	rng := rand.New(rand.NewSource(22))
 	sample := make([]*config.Config, 2000)
@@ -489,7 +456,7 @@ func TestCoreColumnsOncePerKey(t *testing.T) {
 		{"table 6.3", config.DesignSpace(), 9},
 		{"wide sample", sample, len(keys)},
 	} {
-		c := New(p, nil).Compile(DefaultOptions())
+		c := Compile(p, nil, DefaultOptions())
 		for pass := 0; pass < 2; pass++ {
 			if _, err := evaluateBatch(context.Background(), c, tc.cfgs); err != nil {
 				t.Fatal(err)
@@ -506,7 +473,7 @@ func TestCoreColumnsOncePerKey(t *testing.T) {
 // interning, the core and geometry tables and the over-bound path race
 // (under -race in CI); every result must equal a fresh Compiled's.
 func TestConcurrentInterning(t *testing.T) {
-	p := modelFor(t, "gcc", 40_000).Profile
+	p := profileFor(t, "gcc", 40_000)
 	var cfgs []*config.Config
 	for i := 0; i < maxRemainders+4; i++ {
 		for _, w := range []int{2, 4} {
@@ -518,9 +485,9 @@ func TestConcurrentInterning(t *testing.T) {
 	}
 	want := make([][32]byte, len(cfgs))
 	for i, cfg := range cfgs {
-		want[i] = resultDigest(New(p, digestFits).Compile(DefaultOptions()).Evaluate(cfg))
+		want[i] = resultDigest(evaluate(Compile(p, digestFits, DefaultOptions()), cfg))
 	}
-	c := New(p, digestFits).Compile(DefaultOptions())
+	c := Compile(p, digestFits, DefaultOptions())
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -528,7 +495,7 @@ func TestConcurrentInterning(t *testing.T) {
 			defer wg.Done()
 			for k := range cfgs {
 				i := (k*7 + g*5) % len(cfgs)
-				if got := resultDigest(c.Evaluate(cfgs[i])); got != want[i] {
+				if got := resultDigest(evaluate(c, cfgs[i])); got != want[i] {
 					t.Errorf("goroutine %d: config %d differs from a fresh Compiled", g, i)
 					return
 				}

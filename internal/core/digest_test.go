@@ -198,15 +198,16 @@ func resultDigest(r *Result) [sha256.Size]byte {
 // TestKernelDigests holds every Result of the digest configurations, per
 // workload and option set, to the table recorded before the kernel's
 // clock-invariant stage was factored: once through the batched entry point
-// on a fresh Compiled, and once through single-config Evaluate on another.
+// on a fresh Compiled, and once as batches of one on a pooled kernel of
+// another.
 func TestKernelDigests(t *testing.T) {
 	cfgs := digestConfigs()
 	for _, name := range []string{"mcf", "gcc", "soplex", "milc", "xalancbmk", "libquantum"} {
-		p := modelFor(t, name, 40_000).Profile
+		p := profileFor(t, name, 40_000)
 		for _, o := range digestOptions {
 			key := name + "/" + o.name
 			batched := sha256.New()
-			c := New(p, digestFits).Compile(o.opts)
+			c := Compile(p, digestFits, o.opts)
 			var br BatchResult
 			c.PrepareBatch(&br, len(cfgs))
 			if err := c.EvaluateRangeInto(context.Background(), cfgs, &br, 0); err != nil {
@@ -217,9 +218,9 @@ func TestKernelDigests(t *testing.T) {
 				batched.Write(d[:])
 			}
 			single := sha256.New()
-			c = New(p, digestFits).Compile(o.opts)
+			c = Compile(p, digestFits, o.opts)
 			for _, cfg := range cfgs {
-				d := resultDigest(c.Evaluate(cfg))
+				d := resultDigest(evaluate(c, cfg))
 				single.Write(d[:])
 			}
 			b, s := hex.EncodeToString(batched.Sum(nil)), hex.EncodeToString(single.Sum(nil))

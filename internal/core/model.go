@@ -19,13 +19,12 @@
 // Evaluation is split into two phases. Compile (phase 1) precomputes and
 // memoizes everything that does not depend on the full configuration — the
 // StatStack curves, per-micro mixes and MLP models, per-cache-geometry miss
-// ratios. Evaluate / EvaluateRangeInto (phase 2) is then a cheap analytical
-// query per configuration on one kernel, Batch; see Compiled.
+// ratios. EvaluateRangeInto (phase 2) is then a cheap analytical query per
+// configuration on one kernel, Batch; see Compiled.
 package core
 
 import (
 	"math"
-	"sync"
 
 	"mipp/internal/config"
 	"mipp/internal/mlp"
@@ -117,67 +116,6 @@ func (r *Result) CPI() float64 {
 // TimeSeconds returns predicted execution time at freqGHz.
 func (r *Result) TimeSeconds(freqGHz float64) float64 {
 	return r.Cycles / (freqGHz * 1e9)
-}
-
-// Model carries everything needed to evaluate one profile against many
-// configurations: the profile, the branch entropy model, and a cache of
-// compiled evaluation kernels per option set. Evaluate is nearly
-// instantaneous per configuration — the property that makes design-space
-// exploration fast. A Model must not be copied after first use.
-type Model struct {
-	Profile *profiler.Profile
-	// EntropyFit maps linear branch entropy to a misprediction rate for
-	// the configured predictor (Figure 3.9); slope/intercept per
-	// predictor name.
-	EntropyFits map[string]func(entropy float64) float64
-
-	mu       sync.Mutex
-	compiled map[Options]*Compiled
-}
-
-// New builds a Model for a profile. entropyFits may be nil, in which case a
-// default linear fit (missrate ≈ entropy/2, the asymptotic relation of the
-// linear branch entropy metric) is used for every predictor.
-func New(p *profiler.Profile, entropyFits map[string]func(float64) float64) *Model {
-	return &Model{Profile: p, EntropyFits: entropyFits}
-}
-
-// Compile returns the compiled evaluation kernel for one option set,
-// building it on first use (phase 1 of the compile → evaluate split). The
-// kernel is cached: repeated Evaluate calls with the same options share one
-// set of StatStack curves, MLP streams and memo tables.
-func (m *Model) Compile(opts Options) *Compiled {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.compiled == nil {
-		m.compiled = make(map[Options]*Compiled)
-	}
-	if c, ok := m.compiled[opts]; ok {
-		return c
-	}
-	c := newCompiled(m, opts)
-	m.compiled[opts] = c
-	return c
-}
-
-// Evaluate predicts performance for one configuration, compiling (or
-// reusing) the kernel for opts first. Callers evaluating many
-// configurations should Compile once and use Compiled.EvaluateRangeInto.
-func (m *Model) Evaluate(cfg *config.Config, opts Options) *Result {
-	return m.Compile(opts).Evaluate(cfg)
-}
-
-// missRateFor returns the predicted branch misprediction rate for a
-// predictor from the profile's linear branch entropy.
-func (m *Model) missRateFor(predictor string) float64 {
-	if m.EntropyFits != nil {
-		if f, ok := m.EntropyFits[predictor]; ok {
-			return clamp01(f(m.Profile.Entropy))
-		}
-	}
-	// Asymptotic fallback: E(p)=2·min(p,1-p) ⇒ missrate ≈ E/2 for a
-	// predictor that has learned the pattern.
-	return clamp01(m.Profile.Entropy / 2)
 }
 
 func clamp01(x float64) float64 {

@@ -10,16 +10,15 @@ import (
 	"mipp/internal/workload"
 )
 
-func modelFor(t *testing.T, name string, n int) *Model {
+func profileFor(t *testing.T, name string, n int) *profiler.Profile {
 	t.Helper()
-	s := workload.MustGenerate(name, n, 0)
-	return New(profiler.Run(s, profiler.Options{}), nil)
+	return profiler.Run(workload.MustGenerate(name, n, 0), profiler.Options{})
 }
 
 func TestEvaluateBasicInvariants(t *testing.T) {
 	cfg := config.Reference()
 	for _, name := range []string{"gamess", "mcf", "gcc"} {
-		res := modelFor(t, name, 60_000).Evaluate(cfg, DefaultOptions())
+		res := evaluate(Compile(profileFor(t, name, 60_000), nil, DefaultOptions()), cfg)
 		if res.Cycles <= 0 {
 			t.Fatalf("%s: non-positive cycles", name)
 		}
@@ -41,7 +40,7 @@ func TestEvaluateBasicInvariants(t *testing.T) {
 }
 
 func TestBiggerROBNeverSlowsMemoryBound(t *testing.T) {
-	m := modelFor(t, "libquantum", 60_000)
+	c := Compile(profileFor(t, "libquantum", 60_000), nil, DefaultOptions())
 	small := config.Reference()
 	small.ROB = 64
 	small.IQ = 18
@@ -50,8 +49,8 @@ func TestBiggerROBNeverSlowsMemoryBound(t *testing.T) {
 	big.ROB = 256
 	big.IQ = 72
 	big.Name = "rob256"
-	rs := m.Evaluate(small, DefaultOptions())
-	rb := m.Evaluate(big, DefaultOptions())
+	rs := evaluate(c, small)
+	rb := evaluate(c, big)
 	if rb.Cycles > rs.Cycles {
 		t.Errorf("bigger ROB predicted slower: %0.f vs %0.f", rb.Cycles, rs.Cycles)
 	}
@@ -61,30 +60,30 @@ func TestWiderCoreRaisesDispatchBound(t *testing.T) {
 	// With contention modeling disabled (pure N/D base), the width must
 	// set the base component directly. The suite's workloads are mostly
 	// backend-bound, where width is correctly predicted to matter little.
-	m := modelFor(t, "hmmer", 60_000)
+	o := DefaultOptions()
+	o.DispatchModel = DispatchUops
+	c := Compile(profileFor(t, "hmmer", 60_000), nil, o)
 	narrow := config.Reference()
 	narrow.DispatchWidth = 2
 	narrow.Name = "w2"
 	wide := config.Reference()
-	o := DefaultOptions()
-	o.DispatchModel = DispatchUops
-	rn := m.Evaluate(narrow, o)
-	rw := m.Evaluate(wide, o)
+	rn := evaluate(c, narrow)
+	rw := evaluate(c, wide)
 	if rn.Stack.Cycles[0] < rw.Stack.Cycles[0]*1.9 {
 		t.Errorf("2-wide base %.0f should be ~2x the 4-wide base %.0f", rn.Stack.Cycles[0], rw.Stack.Cycles[0])
 	}
 }
 
 func TestBiggerLLCReducesMemoryTime(t *testing.T) {
-	m := modelFor(t, "omnetpp", 60_000)
+	c := Compile(profileFor(t, "omnetpp", 60_000), nil, DefaultOptions())
 	small := config.Reference()
 	small.L3.SizeBytes = 2 << 20
 	small.Name = "llc2m"
 	big := config.Reference()
 	big.L3.SizeBytes = 8 << 20
 	big.Name = "llc8m"
-	rs := m.Evaluate(small, DefaultOptions())
-	rb := m.Evaluate(big, DefaultOptions())
+	rs := evaluate(c, small)
+	rb := evaluate(c, big)
 	if rb.LLCLoadMisses > rs.LLCLoadMisses {
 		t.Errorf("bigger LLC predicted more misses: %.0f vs %.0f", rb.LLCLoadMisses, rs.LLCLoadMisses)
 	}
@@ -93,13 +92,13 @@ func TestBiggerLLCReducesMemoryTime(t *testing.T) {
 func TestDispatchModelRefinementMonotone(t *testing.T) {
 	// Adding contention terms can only lower the dispatch rate, i.e.,
 	// raise the predicted base cycles.
-	m := modelFor(t, "povray", 60_000)
+	p := profileFor(t, "povray", 60_000)
 	cfg := config.Reference()
 	prev := -1.0
 	for _, dm := range []DispatchModel{DispatchUops, DispatchCritical, DispatchFull} {
 		o := DefaultOptions()
 		o.DispatchModel = dm
-		base := m.Evaluate(cfg, o).Stack.Cycles[0]
+		base := evaluate(Compile(p, nil, o), cfg).Stack.Cycles[0]
 		if base < prev-1e-6 {
 			t.Errorf("dispatch model %d lowered base cycles: %v -> %v", dm, prev, base)
 		}
@@ -108,11 +107,9 @@ func TestDispatchModelRefinementMonotone(t *testing.T) {
 }
 
 func TestCombinedModeRuns(t *testing.T) {
-	m := modelFor(t, "gcc", 60_000)
-	cfg := config.Reference()
 	o := DefaultOptions()
 	o.Combined = true
-	res := m.Evaluate(cfg, o)
+	res := evaluate(Compile(profileFor(t, "gcc", 60_000), nil, o), config.Reference())
 	if res.Cycles <= 0 {
 		t.Fatal("combined mode produced no cycles")
 	}
@@ -122,13 +119,13 @@ func TestCombinedModeRuns(t *testing.T) {
 }
 
 func TestBranchMissRateOverride(t *testing.T) {
-	m := modelFor(t, "gobmk", 60_000)
+	p := profileFor(t, "gobmk", 60_000)
 	cfg := config.Reference()
 	o := DefaultOptions()
 	o.BranchMissRate = 0
-	zero := m.Evaluate(cfg, o)
+	zero := evaluate(Compile(p, nil, o), cfg)
 	o.BranchMissRate = 0.5
-	half := m.Evaluate(cfg, o)
+	half := evaluate(Compile(p, nil, o), cfg)
 	if half.Cycles <= zero.Cycles {
 		t.Errorf("50%% misprediction should cost cycles: %.0f vs %.0f", half.Cycles, zero.Cycles)
 	}
@@ -138,12 +135,11 @@ func TestBranchMissRateOverride(t *testing.T) {
 }
 
 func TestMLPModesOrdering(t *testing.T) {
-	m := modelFor(t, "libquantum", 60_000)
+	p := profileFor(t, "libquantum", 60_000)
 	cfg := config.Reference()
-	on := DefaultOptions()
 	off := DefaultOptions()
 	off.MLPMode = mlp.None
-	if m.Evaluate(cfg, off).Cycles <= m.Evaluate(cfg, on).Cycles {
+	if evaluate(Compile(p, nil, off), cfg).Cycles <= evaluate(Compile(p, nil, DefaultOptions()), cfg).Cycles {
 		t.Error("disabling MLP should not speed up a streaming workload")
 	}
 }

@@ -34,7 +34,7 @@ func TestModelVsSimulatorReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := profiler.Run(s, profiler.Options{})
-		mod := New(p, nil).Evaluate(cfg, DefaultOptions())
+		mod := evaluate(Compile(p, nil, DefaultOptions()), cfg)
 		e := stats.AbsErr(mod.Cycles, float64(sim.Cycles))
 		errs = append(errs, e)
 		simStack := sim.Stack.PerInstruction(sim.Instructions)
@@ -60,12 +60,11 @@ func TestModelVsSimulatorReference(t *testing.T) {
 func TestNoMLPHurts(t *testing.T) {
 	s := workload.MustGenerate("libquantum", 150_000, 0)
 	p := profiler.Run(s, profiler.Options{})
-	m := New(p, nil)
 	cfg := config.Reference()
-	with := m.Evaluate(cfg, DefaultOptions())
+	with := evaluate(Compile(p, nil, DefaultOptions()), cfg)
 	opts := DefaultOptions()
 	opts.MLPMode = mlp.None
-	without := m.Evaluate(cfg, opts)
+	without := evaluate(Compile(p, nil, opts), cfg)
 	if without.Cycles <= with.Cycles*1.3 {
 		t.Errorf("no-MLP prediction %.0f not much slower than with MLP %.0f", without.Cycles, with.Cycles)
 	}

@@ -6,8 +6,9 @@
 package dse
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Point is one design evaluated for one workload: lower Time and lower
@@ -26,25 +27,91 @@ func (a Point) Dominates(b Point) bool {
 	return false
 }
 
-// ParetoFront returns the non-dominated subset of points, sorted by Time.
+// ParetoFront returns the non-dominated subset of points, sorted by Time:
+// the points folded into a Staircase in input order, so of two points with
+// exactly the same time and power the first one is kept. It returns nil for
+// no points.
 func ParetoFront(points []Point) []Point {
-	sorted := append([]Point(nil), points...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Time != sorted[j].Time {
-			return sorted[i].Time < sorted[j].Time
-		}
-		return sorted[i].Power < sorted[j].Power
-	})
-	var front []Point
-	bestPower := math.Inf(1)
-	for _, p := range sorted {
-		if p.Power < bestPower {
-			front = append(front, p)
-			bestPower = p.Power
-		}
+	var s Staircase
+	for i, p := range points {
+		s.Add(p.Time, p.Power, i, i)
+	}
+	if s.Len() == 0 {
+		return nil
+	}
+	front := make([]Point, s.Len())
+	for i := range front {
+		front[i] = points[s.Pos(i)]
 	}
 	return front
 }
+
+// Staircase is the Pareto front of a growing point set on (time, power):
+// the non-dominated subset of the points added so far, ordered by time
+// ascending with power strictly descending. Of two points with exactly the
+// same time and power the one with the lower tie rank is the member, so
+// with distinct ranks the front is a pure function of the set of points,
+// whatever order or chunks they are added in. The zero value is empty.
+//
+// Each point either falls to one binary-search dominance probe or splices
+// in, evicting the members it now dominates. Fronts are small (tens of
+// points for thousands added), so adding n points costs O(n log k), and a
+// caller that grows its point set can fold in only the new points.
+type Staircase struct {
+	steps []step
+}
+
+// step is one member: its time, power and tie rank, and pos, the caller's
+// handle on the point.
+type step struct {
+	t, w     float64
+	tie, pos int
+}
+
+func stepByTime(s step, t float64) int { return cmp.Compare(s.t, t) }
+
+// Add folds the point (t, w) into the front and reports whether the front
+// changed. tie ranks the point against a member with exactly the same time
+// and power, the lower rank winning; pos is what Pos returns for it.
+//
+//mipp:hotpath
+func (s *Staircase) Add(t, w float64, tie, pos int) bool {
+	p := step{t: t, w: w, tie: tie, pos: pos}
+	lo, _ := slices.BinarySearchFunc(s.steps, t, stepByTime)
+	if lo < len(s.steps) && s.steps[lo].t == t {
+		m := &s.steps[lo]
+		if m.w < w {
+			return false // dominated: same time, less power already held
+		}
+		if m.w == w {
+			if tie >= m.tie {
+				return false
+			}
+			*m = p // exact tie: the lower rank is the member
+			return true
+		}
+		// p dominates m (same time, less power): replace it, then fall
+		// through to evict any later members p also dominates.
+		*m = p
+	} else {
+		if lo > 0 && s.steps[lo-1].w <= w {
+			return false // dominated by the member just left of it
+		}
+		s.steps = slices.Insert(s.steps, lo, p)
+	}
+	hi := lo + 1
+	for hi < len(s.steps) && s.steps[hi].w >= w {
+		hi++
+	}
+	s.steps = slices.Delete(s.steps, lo+1, hi)
+	return true
+}
+
+// Len returns the number of members.
+func (s *Staircase) Len() int { return len(s.steps) }
+
+// Pos returns the pos of the i-th member by ascending time.
+func (s *Staircase) Pos(i int) int { return s.steps[i].pos }
 
 // Metrics summarizes how well a predicted Pareto front matches the true one
 // (§7.4): the predicted-optimal configs are a classifier over the design

@@ -3,6 +3,9 @@ package dse
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -51,6 +54,78 @@ func TestParetoFrontQuickProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referenceFront is the sort-and-scan Pareto front: sort by (Time, Power)
+// and keep each strict power improver. The stable sort keeps the first of
+// an exact tie in input order, the rule ParetoFront documents.
+func referenceFront(points []Point) []Point {
+	sorted := append([]Point(nil), points...)
+	sort.SliceStable(sorted, func(i, j int) bool {
+		if sorted[i].Time != sorted[j].Time {
+			return sorted[i].Time < sorted[j].Time
+		}
+		return sorted[i].Power < sorted[j].Power
+	})
+	var front []Point
+	bestPower := math.Inf(1)
+	for _, p := range sorted {
+		if p.Power < bestPower {
+			front = append(front, p)
+			bestPower = p.Power
+		}
+	}
+	return front
+}
+
+// TestParetoFrontMatchesReference holds ParetoFront to the sort-and-scan
+// reference on quantized random inputs, where duplicated times and exactly
+// duplicated points are common. Folding the same points into a Staircase in
+// a shuffled order, each ranked by its input position, must give the same
+// front.
+func TestParetoFrontMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 300; trial++ {
+		pts := make([]Point, rng.Intn(100))
+		for i := range pts {
+			pts[i] = Point{
+				Config: fmt.Sprintf("c%d", i),
+				Time:   float64(1+rng.Intn(8)) * 0.25,
+				Power:  float64(1+rng.Intn(8)) * 0.5,
+			}
+			if i > 0 && rng.Intn(5) == 0 {
+				pts[i].Time, pts[i].Power = pts[i-1].Time, pts[i-1].Power
+			}
+		}
+		got, want := ParetoFront(pts), referenceFront(pts)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: front\n%v\nwant\n%v", trial, got, want)
+		}
+		var s Staircase
+		for _, i := range rng.Perm(len(pts)) {
+			s.Add(pts[i].Time, pts[i].Power, i, i)
+		}
+		shuffled := make([]Point, s.Len())
+		for i := range shuffled {
+			shuffled[i] = pts[s.Pos(i)]
+		}
+		if !slices.Equal(shuffled, want) {
+			t.Fatalf("trial %d: shuffled front\n%v\nwant\n%v", trial, shuffled, want)
+		}
+	}
+}
+
+// TestParetoFrontTieKeepsFirst pins the exact-tie rule: of points with the
+// same time and power, the first in input order is on the front.
+func TestParetoFrontTieKeepsFirst(t *testing.T) {
+	pts := []Point{{"slow", 3, 1}, {"first", 1, 5}, {"second", 1, 5}, {"dominated", 2, 5}, {"third", 1, 5}}
+	want := []Point{{"first", 1, 5}, {"slow", 3, 1}}
+	if got := ParetoFront(pts); !slices.Equal(got, want) {
+		t.Errorf("front %v, want %v", got, want)
+	}
+	if got := ParetoFront(nil); got != nil {
+		t.Errorf("front of no points %v, want nil", got)
 	}
 }
 

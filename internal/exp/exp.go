@@ -15,7 +15,6 @@ import (
 	"mipp/api"
 	"mipp/arch"
 	"mipp/internal/config"
-	"mipp/internal/core"
 	"mipp/internal/ooo"
 	"mipp/internal/profiler"
 	"mipp/internal/trace"
@@ -23,10 +22,10 @@ import (
 )
 
 // Suite memoizes workload streams, profiles and simulation results so the
-// individual experiments can share them. Profiles and default-option
-// predictors live in a mipp.Engine — the same registry + predictor cache
-// the mippd service runs on — so the paper's tables exercise the serving
-// path.
+// individual experiments can share them. Profiles and the predictors of
+// every model variant live in a mipp.Engine — the same registry and
+// (workload, api.PredictorSpec) predictor cache the mippd service runs on —
+// so the paper's tables exercise the serving path.
 type Suite struct {
 	// N is the trace length in uops for reference-architecture
 	// experiments; design-space sweeps use N/3.
@@ -40,7 +39,6 @@ type Suite struct {
 	streams  map[string]*trace.Stream
 	profiles map[string]*profiler.Profile
 	sims     map[string]*ooo.Result
-	models   map[string]*core.Model
 }
 
 // NewSuite returns a Suite with the given trace length (0 = 300000).
@@ -55,7 +53,6 @@ func NewSuite(n int) *Suite {
 		streams:   make(map[string]*trace.Stream),
 		profiles:  make(map[string]*profiler.Profile),
 		sims:      make(map[string]*ooo.Result),
-		models:    make(map[string]*core.Model),
 	}
 }
 
@@ -93,27 +90,11 @@ func (s *Suite) Profile(name string, n int) *profiler.Profile {
 	return p
 }
 
-// Model returns a memoized analytical model for a workload at length n.
-func (s *Suite) Model(name string, n int) *core.Model {
-	key := fmt.Sprintf("%s/%d", name, n)
-	s.mu.Lock()
-	if m, ok := s.models[key]; ok {
-		s.mu.Unlock()
-		return m
-	}
-	s.mu.Unlock()
-	m := core.New(s.Profile(name, n), nil)
-	s.mu.Lock()
-	s.models[key] = m
-	s.mu.Unlock()
-	return m
-}
-
-// Predictor returns the engine-cached public-façade predictor (default
-// options) for a workload at length n, registering the memoized profile
-// with the engine on first use. Evaluations through it exercise the exact
-// code path external mipp users — and the mippd service — call.
-func (s *Suite) Predictor(name string, n int) *mipp.Predictor {
+// Predictor returns the engine-cached public-façade predictor of one model
+// variant for a workload at length n, registering the memoized profile with
+// the engine on first use. Evaluations through it exercise the exact code
+// path external mipp users — and the mippd service — call.
+func (s *Suite) Predictor(name string, n int, spec api.PredictorSpec) *mipp.Predictor {
 	key := fmt.Sprintf("%s/%d", name, n)
 	// Check-then-register under the suite lock so concurrent callers
 	// cannot double-register (a re-register would invalidate the
@@ -128,27 +109,23 @@ func (s *Suite) Predictor(name string, n int) *mipp.Predictor {
 		}
 	}
 	s.mu.Unlock()
-	pd, err := s.engine.Predictor(key, api.PredictorSpec{})
+	pd, err := s.engine.Predictor(key, spec)
 	if err != nil {
 		panic(fmt.Sprintf("exp: predictor %s: %v", key, err))
 	}
 	return pd
 }
 
-// PredictorWith builds an unmemoized façade predictor with custom options,
-// for experiments that ablate model components.
-func (s *Suite) PredictorWith(name string, n int, opts ...mipp.PredictorOption) *mipp.Predictor {
-	pd, err := mipp.NewPredictor(mipp.WrapProfile(s.Profile(name, n)), opts...)
-	if err != nil {
-		panic(fmt.Sprintf("exp: predictor %s: %v", name, err))
-	}
-	return pd
+// Predict evaluates one configuration with the default model.
+func (s *Suite) Predict(name string, cfg *config.Config, n int) *mipp.Result {
+	return s.PredictSpec(name, cfg, n, api.PredictorSpec{})
 }
 
-// Predict evaluates one configuration through the façade, panicking on the
-// errors the harness treats as programming mistakes.
-func (s *Suite) Predict(name string, cfg *config.Config, n int) *mipp.Result {
-	res, err := s.Predictor(name, n).Predict(cfg)
+// PredictSpec evaluates one configuration with the model variant spec
+// selects, through the façade, panicking on the errors the harness treats
+// as programming mistakes.
+func (s *Suite) PredictSpec(name string, cfg *config.Config, n int, spec api.PredictorSpec) *mipp.Result {
+	res, err := s.Predictor(name, n, spec).Predict(cfg)
 	if err != nil {
 		panic(fmt.Sprintf("exp: predict %s on %s: %v", name, cfg.Name, err))
 	}
@@ -159,7 +136,7 @@ func (s *Suite) Predict(name string, cfg *config.Config, n int) *mipp.Result {
 // the public concurrent Sweep, so the paper's tables exercise the same
 // batch-evaluation path external users call. results[i] matches configs[i].
 func (s *Suite) Sweep(name string, configs []*config.Config, n int) []*mipp.Result {
-	results, err := mipp.Sweep(context.Background(), s.Predictor(name, n), configs)
+	results, err := mipp.Sweep(context.Background(), s.Predictor(name, n, api.PredictorSpec{}), configs)
 	if err != nil {
 		panic(fmt.Sprintf("exp: sweep %s: %v", name, err))
 	}

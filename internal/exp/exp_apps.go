@@ -104,7 +104,7 @@ func tab7x1(s *Suite, w io.Writer) {
 	header(w, "fastest configuration under a power cap (model-predicted)")
 	configs := SpaceSample(spaceStride)
 	n := s.N / 3
-	names := s.Workloads[:6]
+	names := s.Workloads[:min(6, len(s.Workloads))]
 	points := make(map[string][]mipp.Point, len(names))
 	for _, name := range names {
 		points[name] = mipp.Points(s.Sweep(name, configs, n))

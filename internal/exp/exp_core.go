@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"io"
 
+	"mipp/api"
 	"mipp/internal/branch"
 	"mipp/internal/config"
-	"mipp/internal/core"
 	"mipp/internal/ooo"
 	"mipp/internal/profiler"
 	"mipp/internal/stats"
@@ -48,7 +48,7 @@ func fig3x6(s *Suite, w io.Writer) {
 	header(w, "dispatch-rate limiter (fraction of micro-traces): width / dependences / port / unit")
 	cfg := config.Reference()
 	for _, name := range s.Workloads {
-		res := s.Model(name, s.N).Evaluate(cfg, core.DefaultOptions())
+		res := s.Predict(name, cfg, s.N)
 		total := 0.0
 		for _, c := range res.Limiter {
 			total += c
@@ -66,14 +66,11 @@ func fig3x6(s *Suite, w io.Writer) {
 func fig3x7(s *Suite, w io.Writer) {
 	header(w, "base-component |error| vs perfect-OoO simulation")
 	cfg := config.Reference()
-	models := []struct {
-		name string
-		dm   core.DispatchModel
-	}{
-		{"Instructions", core.DispatchInstructions},
-		{"Micro-operations", core.DispatchUops},
-		{"Critical", core.DispatchCritical},
-		{"Functional", core.DispatchFull},
+	models := []struct{ name, dm string }{
+		{"Instructions", "instructions"},
+		{"Micro-operations", "uops"},
+		{"Critical", "critical"},
+		{"Functional", "full"},
 	}
 	perfOpts := ooo.Options{PerfectBP: true, PerfectICache: true, PerfectDCache: true}
 	errs := make([][]float64, len(models))
@@ -83,12 +80,9 @@ func fig3x7(s *Suite, w io.Writer) {
 		if err != nil {
 			panic(err)
 		}
-		m := s.Model(name, s.N)
 		for i, dm := range models {
-			opts := core.DefaultOptions()
-			opts.DispatchModel = dm.dm
 			// Base component only: compare against the perfect core.
-			res := m.Evaluate(cfg, opts)
+			res := s.PredictSpec(name, cfg, s.N, api.PredictorSpec{DispatchModel: dm.dm})
 			base := res.Stack.Cycles[0] // perf.Base
 			errs[i] = append(errs[i], stats.AbsErr(base, float64(sim.Cycles)))
 		}

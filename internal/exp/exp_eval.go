@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"mipp"
+	"mipp/api"
 	"mipp/internal/config"
 	"mipp/internal/perf"
 	"mipp/internal/power"
@@ -91,18 +92,14 @@ func tab6x2(s *Suite, w io.Writer) {
 	cfg := config.Reference()
 	variants := []struct {
 		name string
-		opts func(simRate float64) []mipp.PredictorOption
+		spec func(simRate float64) api.PredictorSpec
 	}{
-		{"simulated branch missrate + stride MLP", func(simRate float64) []mipp.PredictorOption {
-			return []mipp.PredictorOption{mipp.WithBranchMissRate(simRate)}
+		{"simulated branch missrate + stride MLP", func(simRate float64) api.PredictorSpec {
+			return api.PredictorSpec{BranchMissRate: &simRate}
 		}},
-		{"entropy branch model + stride MLP", func(float64) []mipp.PredictorOption { return nil }},
-		{"entropy branch model + cold-miss MLP", func(float64) []mipp.PredictorOption {
-			return []mipp.PredictorOption{mipp.WithMLPMode(mipp.MLPColdMiss)}
-		}},
-		{"entropy branch model + no MLP", func(float64) []mipp.PredictorOption {
-			return []mipp.PredictorOption{mipp.WithMLPMode(mipp.MLPNone)}
-		}},
+		{"entropy branch model + stride MLP", func(float64) api.PredictorSpec { return api.PredictorSpec{} }},
+		{"entropy branch model + cold-miss MLP", func(float64) api.PredictorSpec { return api.PredictorSpec{MLPMode: "cold-miss"} }},
+		{"entropy branch model + no MLP", func(float64) api.PredictorSpec { return api.PredictorSpec{MLPMode: "none"} }},
 	}
 	for _, v := range variants {
 		var errs []float64
@@ -112,10 +109,7 @@ func tab6x2(s *Suite, w io.Writer) {
 			if sim.Branches > 0 {
 				simRate = float64(sim.BranchMispredicts) / float64(sim.Branches)
 			}
-			res, err := s.PredictorWith(name, s.N, v.opts(simRate)...).Predict(cfg)
-			if err != nil {
-				panic(err)
-			}
+			res := s.PredictSpec(name, cfg, s.N, v.spec(simRate))
 			errs = append(errs, stats.AbsErr(res.Cycles, float64(sim.Cycles)))
 		}
 		fmt.Fprintf(w, "%-42s avg=%5.1f%% max=%5.1f%%\n", v.name, stats.Mean(errs)*100, stats.Max(errs)*100)
@@ -138,10 +132,7 @@ func fig6x4(s *Suite, w io.Writer) {
 	for _, name := range s.Workloads {
 		sim := s.Sim(name, cfg, s.N)
 		rs := s.Predict(name, cfg, s.N)
-		rc, err := s.PredictorWith(name, s.N, mipp.WithCombinedEvaluation()).Predict(cfg)
-		if err != nil {
-			panic(err)
-		}
+		rc := s.PredictSpec(name, cfg, s.N, api.PredictorSpec{Combined: true})
 		sep = append(sep, stats.AbsErr(rs.Cycles, float64(sim.Cycles)))
 		comb = append(comb, stats.AbsErr(rc.Cycles, float64(sim.Cycles)))
 	}

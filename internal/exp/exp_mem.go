@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"io"
 
+	"mipp/api"
 	"mipp/internal/cache"
 	"mipp/internal/config"
-	"mipp/internal/core"
-	"mipp/internal/mlp"
 	"mipp/internal/ooo"
 	"mipp/internal/perf"
 	"mipp/internal/profiler"
@@ -56,11 +55,8 @@ func fig4x3(s *Suite, w io.Writer) {
 	var noMLPErrs []float64
 	for _, name := range s.Workloads {
 		sim := s.Sim(name, cfg, s.N)
-		m := s.Model(name, s.N)
-		with := m.Evaluate(cfg, core.DefaultOptions())
-		opts := core.DefaultOptions()
-		opts.MLPMode = mlp.None
-		without := m.Evaluate(cfg, opts)
+		with := s.Predict(name, cfg, s.N)
+		without := s.PredictSpec(name, cfg, s.N, api.PredictorSpec{MLPMode: "none"})
 		simC := float64(sim.Cycles)
 		fmt.Fprintf(w, "%-12s sim=1.000 model=%.3f noMLP=%.3f\n",
 			name, with.Cycles/simC, without.Cycles/simC)
@@ -132,11 +128,8 @@ func fig4x9(s *Suite, w io.Writer) {
 	if err != nil {
 		panic(err)
 	}
-	m := s.Model("gcc", s.N)
-	with := m.Evaluate(cfg, core.DefaultOptions())
-	opts := core.DefaultOptions()
-	opts.NoLLCChain = true
-	without := m.Evaluate(cfg, opts)
+	with := s.Predict("gcc", cfg, s.N)
+	without := s.PredictSpec("gcc", cfg, s.N, api.PredictorSpec{NoLLCChain: true})
 	simCPI := sim.WindowCPI(win)
 	for i := range simCPI {
 		mw, mo := "-", "-"
@@ -155,10 +148,11 @@ func simWithWindows(cfg *config.Config, st *trace.Stream, win int) (*ooo.Result,
 	return ooo.Simulate(cfg, st, ooo.Options{WindowUops: win})
 }
 
-// mlpModelError reports the per-benchmark DRAM-wait error of an MLP model
-// against the simulator (Figures 6.15-6.18 use the "time waiting on DRAM"
-// view; we compare the DRAM stall per miss).
-func mlpModelError(s *Suite, w io.Writer, mode mlp.Mode, withPrefetch bool) []float64 {
+// mlpModelError reports the per-benchmark DRAM-wait error of an MLP model,
+// named as api.PredictorSpec.MLPMode names it, against the simulator
+// (Figures 6.15-6.18 use the "time waiting on DRAM" view; we compare the
+// DRAM stall per miss).
+func mlpModelError(s *Suite, w io.Writer, mode string, withPrefetch bool) []float64 {
 	cfg := config.Reference()
 	if withPrefetch {
 		cfg = config.ReferenceWithPrefetcher()
@@ -166,9 +160,7 @@ func mlpModelError(s *Suite, w io.Writer, mode mlp.Mode, withPrefetch bool) []fl
 	var errs []float64
 	for _, name := range s.Workloads {
 		sim := s.Sim(name, cfg, s.N)
-		opts := core.DefaultOptions()
-		opts.MLPMode = mode
-		res := s.Model(name, s.N).Evaluate(cfg, opts)
+		res := s.PredictSpec(name, cfg, s.N, api.PredictorSpec{MLPMode: mode})
 		simDram := sim.Stack.Cycles[perf.DRAM]
 		modDram := res.Stack.Cycles[perf.DRAM]
 		e := 0.0
@@ -191,9 +183,9 @@ func mlpModelError(s *Suite, w io.Writer, mode mlp.Mode, withPrefetch bool) []fl
 
 func fig6x15(s *Suite, w io.Writer) {
 	header(w, "DRAM-wait error, cold-miss MLP model (no prefetch)")
-	mlpModelError(s, w, mlp.ColdMiss, false)
+	mlpModelError(s, w, "cold-miss", false)
 	header(w, "DRAM-wait error, stride MLP model (no prefetch)")
-	mlpModelError(s, w, mlp.StrideMLP, false)
+	mlpModelError(s, w, "stride", false)
 }
 
 func fig6x16(s *Suite, w io.Writer) {
@@ -202,12 +194,8 @@ func fig6x16(s *Suite, w io.Writer) {
 	var coldErrs, strideErrs []float64
 	for _, name := range s.Workloads {
 		sim := s.Sim(name, cfg, s.N)
-		m := s.Model(name, s.N)
-		oc := core.DefaultOptions()
-		oc.MLPMode = mlp.ColdMiss
-		os := core.DefaultOptions()
-		cold := m.Evaluate(cfg, oc)
-		stride := m.Evaluate(cfg, os)
+		cold := s.PredictSpec(name, cfg, s.N, api.PredictorSpec{MLPMode: "cold-miss"})
+		stride := s.Predict(name, cfg, s.N)
 		ce := stats.AbsErr(cold.Cycles, float64(sim.Cycles))
 		se := stats.AbsErr(stride.Cycles, float64(sim.Cycles))
 		coldErrs = append(coldErrs, ce)
@@ -223,11 +211,9 @@ func fig6x17(s *Suite, w io.Writer) {
 	var coldErrs, strideErrs []float64
 	for _, name := range s.Workloads {
 		sim := s.Sim(name, cfg, s.N)
-		m := s.Model(name, s.N)
-		oc := core.DefaultOptions()
-		oc.MLPMode = mlp.ColdMiss
-		coldErrs = append(coldErrs, stats.AbsErr(m.Evaluate(cfg, oc).Cycles, float64(sim.Cycles)))
-		strideErrs = append(strideErrs, stats.AbsErr(m.Evaluate(cfg, core.DefaultOptions()).Cycles, float64(sim.Cycles)))
+		cold := s.PredictSpec(name, cfg, s.N, api.PredictorSpec{MLPMode: "cold-miss"})
+		coldErrs = append(coldErrs, stats.AbsErr(cold.Cycles, float64(sim.Cycles)))
+		strideErrs = append(strideErrs, stats.AbsErr(s.Predict(name, cfg, s.N).Cycles, float64(sim.Cycles)))
 	}
 	for _, lim := range []float64{0.05, 0.10, 0.20, 0.30, 0.50} {
 		fmt.Fprintf(w, "<=%3.0f%%: cold %.0f%%  stride %.0f%% of benchmarks\n",
@@ -238,7 +224,7 @@ func fig6x17(s *Suite, w io.Writer) {
 func fig6x18(s *Suite, w io.Writer) {
 	header(w, "DRAM-wait error with stride prefetching enabled")
 	header(w, "cold-miss MLP model")
-	mlpModelError(s, w, mlp.ColdMiss, true)
+	mlpModelError(s, w, "cold-miss", true)
 	header(w, "stride MLP model (models the prefetcher)")
-	mlpModelError(s, w, mlp.StrideMLP, true)
+	mlpModelError(s, w, "stride", true)
 }

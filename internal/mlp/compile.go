@@ -64,10 +64,8 @@ func (c *Compiled) Stats() (missMarkBuilds, depthBuilds uint64) {
 }
 
 // Evaluate predicts the memory behaviour of the micro-trace, with the
-// stride path served from the base stream and its column tables. The
-// models read ROB, MSHRs, MemLatency, LLCLines, LoadFrac, Prefetch, Mode
-// and MispredictEvery; L1Lines, L2Lines, BusPerLine and DispatchRate do
-// not reach the result.
+// stride path served from the base stream and its column tables. Every
+// field of prm reaches the result.
 func (c *Compiled) Evaluate(prm Params) MicroMem {
 	out := MicroMem{Loads: float64(c.m.LoadCount)}
 	out.MissPerLoad = statstack.MissRatioForMicro(c.curve, c.m, prm.LLCLines)

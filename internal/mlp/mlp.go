@@ -52,9 +52,6 @@ type Params struct {
 	ROB        int
 	MSHRs      int
 	MemLatency int // DRAM access latency in cycles (device, §4.6's T_DRAM)
-	BusPerLine int // c_transfer of Equation 4.5
-	L1Lines    float64
-	L2Lines    float64
 	LLCLines   float64
 	// LoadFrac is the fraction of uops that are loads (for L̄(ROB)).
 	LoadFrac float64
@@ -66,9 +63,6 @@ type Params struct {
 	// mispredictions; a misprediction drains the window, so the effective
 	// MLP window is min(ROB, MispredictEvery). Zero means no limit.
 	MispredictEvery float64
-	// DispatchRate is the effective dispatch rate Deff (informational;
-	// carried for diagnostics and future stagger corrections).
-	DispatchRate float64
 }
 
 // window returns the effective ROB window after branch-misprediction

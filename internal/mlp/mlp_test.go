@@ -15,9 +15,6 @@ func paramsFor(cfg *config.Config, mode Mode) Params {
 		ROB:        cfg.ROB,
 		MSHRs:      cfg.MSHRs,
 		MemLatency: cfg.MemConfig().LatencyCycles,
-		BusPerLine: cfg.MemConfig().BusCyclesPerLine,
-		L1Lines:    float64(cfg.L1D.Lines()),
-		L2Lines:    float64(cfg.L2.Lines()),
 		LLCLines:   float64(cfg.L3.Lines()),
 		LoadFrac:   0.3,
 		Prefetch:   cfg.Prefetcher,

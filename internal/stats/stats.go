@@ -71,30 +71,6 @@ func AbsErr(predicted, actual float64) float64 {
 	return math.Abs(predicted-actual) / math.Abs(actual)
 }
 
-// SignedErr returns (predicted-actual)/actual, preserving under/over
-// prediction sign (used, e.g., for Figure 3.10's MPKI deltas).
-func SignedErr(predicted, actual float64) float64 {
-	if actual == 0 {
-		if predicted == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return (predicted - actual) / actual
-}
-
-// MeanAbsErr returns the mean of AbsErr over paired slices.
-func MeanAbsErr(predicted, actual []float64) float64 {
-	if len(predicted) != len(actual) || len(predicted) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i := range predicted {
-		s += AbsErr(predicted[i], actual[i])
-	}
-	return s / float64(len(predicted))
-}
-
 // Percentile returns the p-th percentile (0..100) of xs using linear
 // interpolation between closest ranks. It panics on an empty slice.
 func Percentile(xs []float64, p float64) float64 {

@@ -170,20 +170,6 @@ func (b *Builder) Load(pc uint64, dst, addrSrc int, addr uint64) {
 	b.append(u, dst)
 }
 
-// FusedLoad emits a load uop inside the current macro-instruction (the
-// load half of an x86 reg-mem instruction).
-func (b *Builder) FusedLoad(pc uint64, dst, addrSrc int, addr uint64) {
-	u := trace.Uop{
-		PC:       pc,
-		Static:   b.staticID(pc),
-		Class:    trace.Load,
-		First:    false,
-		SrcDist1: b.dist(addrSrc),
-		Addr:     addr,
-	}
-	b.append(u, dst)
-}
-
 // Store emits a store macro-instruction writing the value produced by
 // dataSrc to addr.
 func (b *Builder) Store(pc uint64, addrSrc, dataSrc int, addr uint64) {

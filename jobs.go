@@ -348,17 +348,6 @@ func (e *Engine) runSearchJob(ctx context.Context, job *searchJob, req *api.Sear
 	if req.MaxArea != nil {
 		opts.Constraints.MaxArea = *req.MaxArea
 	}
-	if e.fid != nil {
-		// Fidelity escalation (the thesis's §7.4 workflow): the configs a
-		// finished search recommends are exactly the ones worth a
-		// reference simulation, so they bypass the sampling predicate.
-		opts.EscalateTopK = e.fid.opts.TopK
-		opts.OnEscalate = func(evals []search.Eval) {
-			for _, ev := range evals {
-				e.forceFidelity(req.Workload, req.Options, space.At(ev.Index))
-			}
-		}
-	}
 
 	ev := e.instrumentSearchEvaluator(ctx, job, NewSearchEvaluator(pd, req.Workers))
 	rep, err := search.Run(ctx, ev, space, strategy, opts)
@@ -369,6 +358,15 @@ func (e *Engine) runSearchJob(ctx context.Context, job *searchJob, req *api.Sear
 		rep.Workload = req.Workload
 		job.evals.Store(int64(rep.Evaluations))
 		job.gens.Store(int64(rep.Generations))
+		if e.fid != nil {
+			// Fidelity escalation (the thesis's §7.4 workflow): the configs
+			// a finished search recommends are exactly the ones worth a
+			// reference simulation, so they bypass the sampling predicate.
+			// They are queued before the job turns done.
+			for _, ev := range rep.TopK(e.fid.opts.TopK) {
+				e.forceFidelity(req.Workload, req.Options, space.At(ev.Index))
+			}
+		}
 		finish(api.JobDone, "", rep)
 	case ctx.Err() != nil:
 		finish(api.JobCancelled, "", nil)

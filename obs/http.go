@@ -86,6 +86,3 @@ func (h *HTTPStats) Wrap(next http.Handler) http.Handler {
 		}
 	})
 }
-
-// WrapFunc is Wrap for http.HandlerFunc.
-func (h *HTTPStats) WrapFunc(next http.HandlerFunc) http.Handler { return h.Wrap(next) }

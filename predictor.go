@@ -73,8 +73,8 @@ type EntropyFit func(entropy float64) float64
 // that makes design-space exploration fast. A Predictor is safe for
 // concurrent use.
 type Predictor struct {
-	model      *core.Model
 	opts       core.Options
+	fits       map[string]func(float64) float64
 	prefetcher *bool
 	compiled   *core.Compiled
 }
@@ -91,7 +91,7 @@ func WithEntropyFits(fits map[string]EntropyFit) PredictorOption {
 		for k, f := range fits {
 			m[k] = f
 		}
-		p.model.EntropyFits = m
+		p.fits = m
 	}
 }
 
@@ -141,20 +141,17 @@ func NewPredictor(p *Profile, opts ...PredictorOption) (*Predictor, error) {
 	if p == nil || p.raw == nil {
 		return nil, fmt.Errorf("mipp: NewPredictor: nil or empty profile")
 	}
-	pd := &Predictor{
-		model: core.New(p.raw, nil),
-		opts:  core.DefaultOptions(),
-	}
+	pd := &Predictor{opts: core.DefaultOptions()}
 	for _, o := range opts {
 		o(pd)
 	}
-	pd.compiled = pd.model.Compile(pd.opts)
+	pd.compiled = core.Compile(p.raw, pd.fits, pd.opts)
 	return pd, nil
 }
 
 // Workload returns the name of the profiled workload this Predictor
 // evaluates.
-func (pd *Predictor) Workload() string { return pd.model.Profile.Workload }
+func (pd *Predictor) Workload() string { return pd.compiled.Profile().Workload }
 
 // Result is a complete prediction for one (workload, configuration) pair:
 // cycles, the CPI stack, the activity factors and the power stack they
@@ -186,6 +183,10 @@ type Result struct {
 	// MicroCPI is the per-micro-trace predicted CPI (per uop), for phase
 	// analysis (§6.5).
 	MicroCPI []float64
+	// Limiter counts micro-traces by what limits their effective dispatch
+	// rate (Figure 3.6): width, dependences, functional port, functional
+	// unit.
+	Limiter [4]float64
 }
 
 // CPI returns predicted cycles per macro-instruction.

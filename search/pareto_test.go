@@ -1,9 +1,10 @@
 package search
 
-// Differential test for the runner's Pareto staircase against a
+// Differential test for the runner's Pareto front against a
 // straightforward sort-and-sweep reference, over adversarial randomized
 // inputs (duplicated times, duplicated points, infeasible mixes, quantized
-// values so exact float ties actually occur).
+// values so exact float ties actually occur, space indices shuffled against
+// memo positions).
 
 import (
 	"math/rand"
@@ -42,40 +43,44 @@ func referenceFront(evals []Eval) []Eval {
 	return front
 }
 
-// TestParetoFrontMatchesReference folds each trial's evals into a staircase
-// twice: all at once, as a report without an OnUpdate sink does, and in
-// random-sized chunks, as the runner does once per generation. After every
-// chunk the front must equal the reference over that prefix, fold must
-// report a change exactly when the front differs from the one before, and
-// no front the staircase handed out may change afterwards.
+// TestParetoFrontMatchesReference folds each trial's evals into a runner's
+// front twice: all at once, as a report without an OnUpdate sink does, and
+// in random-sized chunks, as the runner does once per generation. After
+// every chunk the front must equal the reference over that prefix, fold
+// must report a change exactly when the front differs from the one before,
+// and no front the runner handed out may change afterwards. Each eval's
+// space index is a shuffled memo position, so a front that broke an exact
+// tie by memo position instead of by index would differ from the reference.
 func TestParetoFrontMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		n := rng.Intn(120)
 		evals := make([]Eval, n)
+		index := rng.Perm(n)
 		for i := range evals {
 			evals[i] = Eval{
 				// Quantized so ties in one or both objectives are common.
-				Index:       i,
+				Index:       index[i],
 				TimeSeconds: float64(rng.Intn(8)) * 0.25,
 				Watts:       float64(rng.Intn(8)) * 0.5,
 				Feasible:    rng.Intn(4) != 0,
 			}
 		}
-		var whole staircase
-		whole.fold(evals)
-		if got, want := whole.snapshot(evals), referenceFront(evals); !slices.Equal(got, want) {
+		whole := &Runner{evals: evals}
+		whole.fold()
+		if got, want := whole.frontEvals(), referenceFront(evals); !slices.Equal(got, want) {
 			t.Fatalf("trial %d: front\n%+v\nwant\n%+v", trial, got, want)
 		}
 
 		chunks := rand.New(rand.NewSource(int64(trial)))
-		var s staircase
+		r := &Runner{}
 		var published, copies [][]Eval
 		prev := []Eval{}
 		for hi := 0; hi < n; {
 			hi = min(n, hi+1+chunks.Intn(24))
-			changed := s.fold(evals[:hi])
-			got, want := s.snapshot(evals[:hi]), referenceFront(evals[:hi])
+			r.evals = evals[:hi]
+			changed := r.fold()
+			got, want := r.frontEvals(), referenceFront(evals[:hi])
 			if !slices.Equal(got, want) {
 				t.Fatalf("trial %d, prefix %d: front\n%+v\nwant\n%+v", trial, hi, got, want)
 			}

@@ -35,6 +35,7 @@ import (
 	"sync"
 
 	"mipp/arch"
+	"mipp/internal/dse"
 )
 
 // Objective selects the scalar a strategy minimizes.
@@ -125,37 +126,14 @@ type Options struct {
 	// Budget caps unique evaluations (0 = unlimited). Strategies stop
 	// when the next generation would not fit.
 	Budget int
-	// OnProgress, when set, is called after every generation with
-	// cumulative progress. It must not block.
-	OnProgress func(Progress)
 	// OnUpdate, when set, is called after every generation with the trace
 	// step just recorded, the incumbent, and — only on generations where
 	// it changed — the Pareto front over everything evaluated so far. It
-	// is the streaming sink behind SSE search events; like OnProgress it
-	// must not block. Leaving it nil costs nothing: the runner's Pareto
-	// staircase is then extended only once, for the final Report, which
-	// reads the same staircase either way.
+	// is the streaming sink behind SSE search events and must not block.
+	// Leaving it nil costs nothing: the runner's Pareto staircase is then
+	// extended only once, for the final Report, which reads the same
+	// staircase either way.
 	OnUpdate func(Update)
-	// EscalateTopK, with OnEscalate set, hands the report's top-K
-	// evaluations (the incumbent plus the best Pareto-front points, in
-	// deterministic order) to OnEscalate after the search completes — the
-	// ground-truth escalation seam: the configs a search is about to
-	// recommend are exactly the ones worth a reference simulation.
-	EscalateTopK int
-	// OnEscalate receives the top-K evaluations once, after the report is
-	// assembled. It may block (the search is already over) but runs under
-	// the search's ctx discipline: callers that need cancellation should
-	// capture a context.
-	OnEscalate func(evals []Eval)
-}
-
-// Progress is a per-generation progress snapshot.
-type Progress struct {
-	Generation  int
-	Evaluations int
-	// Best is the incumbent (zero Eval with Index -1 until a feasible
-	// point exists).
-	Best Eval
 }
 
 // Update is one generation's streaming snapshot, delivered to
@@ -319,10 +297,11 @@ type Runner struct {
 	// generations (see Evaluate's reuse contract).
 	outScratch []Eval
 
-	// front is the Pareto staircase over the evals folded so far: extended
-	// after every generation while Options.OnUpdate is set, and once more
-	// for the report.
-	front staircase
+	// front is the Pareto staircase over evals[:folded]; a member's
+	// position is its memo position. It is extended after every generation
+	// while Options.OnUpdate is set, and once more for the report.
+	front  dse.Staircase
+	folded int
 }
 
 // seenSlabMax bounds the memo slab at 16 MiB of int32; spaces larger than
@@ -527,20 +506,13 @@ func (r *Runner) Evaluate(ctx context.Context, indices []int) ([]Eval, error) {
 		step.BestFitness = r.evals[r.best].Fitness
 	}
 	r.trace = append(r.trace, step)
-	if r.opts.OnProgress != nil {
-		p := Progress{Generation: r.gens, Evaluations: len(r.evals), Best: Eval{Index: -1}}
-		if r.best >= 0 {
-			p.Best = r.evals[r.best]
-		}
-		r.opts.OnProgress(p)
-	}
 	if r.opts.OnUpdate != nil {
 		u := Update{Step: step, Best: Eval{Index: -1}}
 		if r.best >= 0 {
 			u.Best = r.evals[r.best]
 		}
-		if r.front.fold(r.evals) {
-			u.Front = r.front.snapshot(r.evals)
+		if r.fold() {
+			u.Front = r.frontEvals()
 		}
 		r.opts.OnUpdate(u)
 	}
@@ -611,94 +583,37 @@ func (r *Runner) report(strategy string) *Report {
 		best := r.evals[r.best]
 		rep.Best = &best
 	}
-	r.front.fold(r.evals)
-	rep.Front = r.front.snapshot(r.evals)
+	r.fold()
+	rep.Front = r.frontEvals()
 	return rep
 }
 
-// staircase is the Pareto front of a growing eval memo: the non-dominated
-// feasible subset on (time, power), sorted by time, with deterministic
-// index tie-breaking (on exact time/power ties the smallest space index
-// wins) — the same front internal/dse computes, kept index-aware so
-// entries retain their space position. The front is a pure function of
-// the set of evals, so folding them in any order or in any chunks yields
-// the same staircase.
-//
-// It stays ordered by time ascending with power strictly descending, and
-// each candidate either falls to one binary-search dominance probe or
-// splices in, evicting the members it now dominates. Fronts are small
-// (tens of points for thousands of evals), so folding n evals costs
-// O(n log k), and the Runner folds each eval once: a per-generation
-// update pays only for that generation's evals, not for the whole memo
-// again. frontKey keeps the staircase compact: three words per member
-// instead of a wide Eval, with the member's position in the memo.
-type staircase struct {
-	keys []frontKey
-	// folded is how many evals of the memo the staircase has seen.
-	folded int
-}
-
-type frontKey struct {
-	t, w float64
-	i    int32
-}
-
-func frontKeyByTime(a, b frontKey) int { return cmp.Compare(a.t, b.t) }
-
-// fold extends the staircase with evals[s.folded:] and reports whether the
-// front changed. evals must be the memo folded before, grown by appending,
-// and every eval past s.folded must be final. Infeasible evals are skipped
-// here rather than filtered out by the caller, so the memo is never
-// copied.
+// fold extends the front with the evals appended since the last fold and
+// reports whether it changed. Every eval past r.folded must be final.
+// Infeasible evals are skipped here rather than filtered out by the caller,
+// so the memo is never copied. An exact (time, power) tie keeps the lowest
+// space index, so the front is a pure function of the set of evals.
 //
 //mipp:hotpath
-func (s *staircase) fold(evals []Eval) bool {
+func (r *Runner) fold() bool {
 	changed := false
-	for i := s.folded; i < len(evals); i++ {
-		e := &evals[i]
-		if !e.Feasible {
-			continue
+	for i := r.folded; i < len(r.evals); i++ {
+		e := &r.evals[i]
+		if e.Feasible && r.front.Add(e.TimeSeconds, e.Watts, e.Index, i) {
+			changed = true
 		}
-		p := frontKey{t: e.TimeSeconds, w: e.Watts, i: int32(i)}
-		lo, _ := slices.BinarySearchFunc(s.keys, p, frontKeyByTime)
-		if lo < len(s.keys) && s.keys[lo].t == p.t {
-			m := &s.keys[lo]
-			if m.w < p.w {
-				continue // dominated: same time, less power already held
-			}
-			if m.w == p.w {
-				if evals[p.i].Index < evals[m.i].Index {
-					m.i = p.i // exact tie: canonical member is the lowest index
-					changed = true
-				}
-				continue
-			}
-			// p dominates m (same time, less power): replace it, then fall
-			// through to evict any later members p also dominates.
-			*m = p
-		} else {
-			if lo > 0 && s.keys[lo-1].w <= p.w {
-				continue // dominated by the staircase member just left of it
-			}
-			s.keys = slices.Insert(s.keys, lo, p)
-		}
-		changed = true
-		hi := lo + 1
-		for hi < len(s.keys) && s.keys[hi].w >= p.w {
-			hi++
-		}
-		s.keys = slices.Delete(s.keys, lo+1, hi)
 	}
-	s.folded = len(evals)
+	r.folded = len(r.evals)
 	return changed
 }
 
-// snapshot copies the front's evals into a fresh slice. Nothing in the
-// runner writes that slice again, so a caller may publish it.
-func (s *staircase) snapshot(evals []Eval) []Eval {
-	front := make([]Eval, len(s.keys))
-	for i, k := range s.keys {
-		front[i] = evals[k.i]
+// frontEvals copies the front's evals, by ascending time, into a fresh
+// slice. Nothing in the runner writes that slice again, so a caller may
+// publish it.
+func (r *Runner) frontEvals() []Eval {
+	front := make([]Eval, r.front.Len())
+	for i := range front {
+		front[i] = r.evals[r.front.Pos(i)]
 	}
 	return front
 }
@@ -732,11 +647,5 @@ func Run(ctx context.Context, ev Evaluator, space *arch.Space, st Strategy, opts
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rep := r.report(st.Name())
-	if opts.OnEscalate != nil && opts.EscalateTopK > 0 {
-		if top := rep.TopK(opts.EscalateTopK); len(top) > 0 {
-			opts.OnEscalate(top)
-		}
-	}
-	return rep, nil
+	return r.report(st.Name()), nil
 }
