@@ -12,9 +12,11 @@ import (
 	"unicode/utf8"
 )
 
-// This file holds the one reader of /v1/evaluate answers, the largest
-// bodies on the wire. json.Unmarshal checks a document in one pass and
-// decodes it by reflection in a second; the reader checks the grammar as
+// This file holds the one reader of the answers a client reads most: the
+// /v1/evaluate answers, the largest bodies on the wire, and the search
+// answers, the events of GET /v1/search/{id}/events and the job snapshots
+// of /v1/search. json.Unmarshal checks a document in one pass and decodes
+// it by reflection in a second; the reader checks the grammar as
 // encoding/json does while it decodes, so each answer is read once.
 //
 // Its contract is json.Unmarshal's verdict and values. Decoding into a zero
@@ -33,7 +35,8 @@ import (
 //   - nesting deeper than 10000 is an error, and so is anything but
 //     whitespace after the value.
 //
-// FuzzDecodeBatchResponse checks the contract against json.Unmarshal.
+// FuzzDecodeBatchResponse, FuzzDecodeSearchEvent and
+// FuzzDecodeSearchJobResponse check the contract against json.Unmarshal.
 
 // maxDepth is encoding/json's nesting limit.
 const maxDepth = 10000
@@ -42,7 +45,18 @@ const maxDepth = 10000
 // zero v it returns an error exactly when json.Unmarshal does, trailing
 // data included, and otherwise the values json.Unmarshal would. After an
 // error v may hold part of the answer.
-func DecodeBatchResponse(data []byte, v *BatchResponse) error {
+func DecodeBatchResponse(data []byte, v *BatchResponse) error { return decode(data, v) }
+
+// DecodeSearchEvent decodes the data line of one search event in one
+// pass, under DecodeBatchResponse's contract.
+func DecodeSearchEvent(data []byte, v *SearchEvent) error { return decode(data, v) }
+
+// DecodeSearchJobResponse decodes a submit, poll or cancel answer of
+// /v1/search in one pass, under DecodeBatchResponse's contract.
+func DecodeSearchJobResponse(data []byte, v *SearchJobResponse) error { return decode(data, v) }
+
+// decode reads the one JSON value data holds into what v points at.
+func decode(data []byte, v any) error {
 	r := reader{data: data}
 	if err := r.value(v); err != nil {
 		return err
@@ -107,6 +121,14 @@ func (r *reader) value(p any) error {
 			*p = nil
 		case *[]float64:
 			*p = nil
+		case **SearchEval:
+			*p = nil
+		case **SearchReport:
+			*p = nil
+		case *[]SearchEval:
+			*p = nil
+		case *[]SearchTraceStep:
+			*p = nil
 		}
 		return nil
 	}
@@ -140,18 +162,32 @@ func (r *reader) value(p any) error {
 		}
 		*p = int(n)
 		return nil
+	case *int64:
+		num, err := r.numberFor(c, p)
+		if err != nil {
+			return err
+		}
+		n, err := strconv.ParseInt(string(num), 10, 64)
+		if err != nil {
+			return fmt.Errorf("api: number %s does not fit an int64", num)
+		}
+		*p = n
+		return nil
+	case *bool:
+		if c != 't' && c != 'f' {
+			return r.mismatch(reflect.TypeOf(p).Elem())
+		}
+		if err := r.literal(); err != nil {
+			return err
+		}
+		*p = c == 't'
+		return nil
 	case *[]float64:
 		return array(r, c, p)
 	case *[]BatchItem:
 		return array(r, c, p)
 	case **Result:
-		if c != '{' {
-			return r.mismatch(reflect.TypeOf(p).Elem())
-		}
-		if *p == nil {
-			*p = new(Result)
-		}
-		return r.value(*p)
+		return pointer(r, c, p)
 	case *BatchResponse:
 		return r.object(c, batchResponseFields, &p.SchemaVersion, &p.Items)
 	case *BatchItem:
@@ -166,8 +202,32 @@ func (r *reader) value(p any) error {
 		return r.object(c, cpiStackFields, &p.Base, &p.Branch, &p.ICache, &p.LLCHit, &p.DRAM)
 	case *PowerStack:
 		return r.object(c, powerStackFields, &p.Static, &p.Core, &p.FU, &p.Cache, &p.DRAM, &p.BPred)
+	case *SearchEvent:
+		return r.object(c, searchEventFields, &p.SchemaVersion, &p.JobID, &p.Seq, &p.Type,
+			&p.Generation, &p.Evaluations, &p.Best, &p.Front, &p.Error, &p.Report)
+	case *SearchJobResponse:
+		return r.object(c, searchJobResponseFields, &p.SchemaVersion, &p.Job)
+	case *SearchJob:
+		return r.object(c, searchJobFields, &p.ID, &p.State, &p.Workload, &p.Strategy,
+			&p.SpaceSize, &p.Evaluations, &p.Generations, &p.Error, &p.Report)
+	case **SearchReport:
+		return pointer(r, c, p)
+	case *SearchReport:
+		return r.object(c, searchReportFields, &p.Workload, &p.Strategy, &p.Objective, &p.Seed,
+			&p.SpaceSize, &p.Evaluations, &p.Generations, &p.Feasible, &p.Best, &p.Front, &p.Trace)
+	case **SearchEval:
+		return pointer(r, c, p)
+	case *SearchEval:
+		return r.object(c, searchEvalFields, &p.Index, &p.Config, &p.TimeSeconds, &p.Watts,
+			&p.EnergyJoules, &p.EDP, &p.ED2P, &p.Area, &p.Fitness, &p.Feasible, &p.Violation)
+	case *[]SearchEval:
+		return array(r, c, p)
+	case *[]SearchTraceStep:
+		return array(r, c, p)
+	case *SearchTraceStep:
+		return r.object(c, searchTraceStepFields, &p.Generation, &p.Evaluations, &p.BestIndex, &p.BestFitness)
 	}
-	panic(fmt.Sprintf("api: the evaluate reader cannot decode into %T", p))
+	panic(fmt.Sprintf("api: the reader cannot decode into %T", p))
 }
 
 // object reads the object that starts at the next byte, c, into the
@@ -175,7 +235,7 @@ func (r *reader) value(p any) error {
 // no field has its value checked and skipped.
 func (r *reader) object(c byte, fs *fields, ptrs ...any) error {
 	if len(ptrs) != len(fs.names) {
-		panic(fmt.Sprintf("api: the evaluate reader fills %d fields of %s, which has %d", len(ptrs), fs.typ, len(fs.names)))
+		panic(fmt.Sprintf("api: the reader fills %d fields of %s, which has %d", len(ptrs), fs.typ, len(fs.names)))
 	}
 	if c != '{' {
 		return r.mismatch(fs.typ)
@@ -205,6 +265,19 @@ func (r *reader) object(c byte, fs *fields, ptrs ...any) error {
 			return err
 		}
 	}
+}
+
+// pointer reads the object that starts at the next byte, c, into **p as
+// encoding/json does: into the struct *p points at, or into a new one when
+// *p is nil.
+func pointer[T any](r *reader, c byte, p **T) error {
+	if c != '{' {
+		return r.mismatch(reflect.TypeFor[*T]())
+	}
+	if *p == nil {
+		*p = new(T)
+	}
+	return r.value(*p)
 }
 
 // array reads the array that starts at the next byte, c, into *s as
@@ -589,6 +662,13 @@ var (
 	resultFields        = fieldsOf[Result]()
 	cpiStackFields      = fieldsOf[CPIStack]()
 	powerStackFields    = fieldsOf[PowerStack]()
+
+	searchEventFields       = fieldsOf[SearchEvent]()
+	searchJobResponseFields = fieldsOf[SearchJobResponse]()
+	searchJobFields         = fieldsOf[SearchJob]()
+	searchReportFields      = fieldsOf[SearchReport]()
+	searchEvalFields        = fieldsOf[SearchEval]()
+	searchTraceStepFields   = fieldsOf[SearchTraceStep]()
 )
 
 func fieldsOf[T any]() *fields {

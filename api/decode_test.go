@@ -70,14 +70,15 @@ func sameFloatBits(a, b reflect.Value) bool {
 	return true
 }
 
-// checkDecode compares DecodeBatchResponse with json.Unmarshal on data.
-func checkDecode(t *testing.T, data []byte) {
+// checkDecode compares decode, one of the reader's entry points, with
+// json.Unmarshal on data.
+func checkDecode[T any](t *testing.T, data []byte, decode func([]byte, *T) error) {
 	t.Helper()
-	var got, want api.BatchResponse
-	gotErr := api.DecodeBatchResponse(data, &got)
+	var got, want T
+	gotErr := decode(data, &got)
 	wantErr := json.Unmarshal(data, &want)
 	if (gotErr == nil) != (wantErr == nil) {
-		t.Fatalf("DecodeBatchResponse error %v, json.Unmarshal error %v, on %.300q", gotErr, wantErr, data)
+		t.Fatalf("reader error %v, json.Unmarshal error %v, on %.300q", gotErr, wantErr, data)
 	}
 	if gotErr != nil {
 		return
@@ -91,7 +92,7 @@ func checkDecode(t *testing.T, data []byte) {
 
 func FuzzDecodeBatchResponse(f *testing.F) {
 	f.Add(fullAnswer(f))
-	f.Fuzz(checkDecode)
+	f.Fuzz(func(t *testing.T, data []byte) { checkDecode(t, data, api.DecodeBatchResponse) })
 }
 
 // TestDecodeBatchResponseFields decodes an answer that sets every field of
@@ -99,7 +100,7 @@ func FuzzDecodeBatchResponse(f *testing.F) {
 // misses or misplaces shows.
 func TestDecodeBatchResponseFields(t *testing.T) {
 	data := fullAnswer(t)
-	checkDecode(t, data)
+	checkDecode(t, data, api.DecodeBatchResponse)
 	var got api.BatchResponse
 	if err := api.DecodeBatchResponse(data, &got); err != nil {
 		t.Fatal(err)

@@ -5,10 +5,15 @@ package api
 //
 //   - GET /v1/search/{id}/events serves Server-Sent Events: each SSE
 //     message's data line is one SearchEvent, its id line is the event's
-//     Seq (so Last-Event-ID resumes a dropped stream without loss), and
-//     its event line is the Type. The stream ends after the terminal
-//     event; subscribing to a finished job replays the retained events
-//     and terminates immediately.
+//     Seq (so Last-Event-ID or ?after= resumes a dropped stream from the
+//     events the job retains), and its event line is the Type. The stream
+//     ends after the terminal event, which every stream carries: a
+//     subscriber that falls behind may have progress and front events
+//     dropped, never the terminal one. The server fills such a gap from
+//     the job's retained events before it writes on; only events the job
+//     no longer retains (it keeps the newest few thousand) are missing,
+//     and the Seq jump shows where. Subscribing to a finished job replays
+//     the retained events and terminates immediately.
 //   - POST /v1/sweep?stream=1 serves newline-delimited JSON: one
 //     SweepStreamHeader frame, then one SweepItem frame per configuration
 //     in input order as results become available, then one

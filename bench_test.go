@@ -253,6 +253,91 @@ func BenchmarkClientDecodeEvaluateStd(b *testing.B) {
 	benchDecodeEvaluate(b, func(data []byte, v *api.BatchResponse) error { return json.Unmarshal(data, v) })
 }
 
+// The search answers' decode rung: the data lines of one recorded hill
+// stream, decoded as the client decodes them and by json.Unmarshal. CI gates
+// ClientDecodeSearchEvents against ClientDecodeSearchEventsStd.
+
+var hillStream struct {
+	once   sync.Once
+	events [][]byte
+	err    error
+}
+
+// recordedHillStream runs one hill job shaped as tierbench's search jobs
+// are (ED2P under a 20 W cap, 12 restarts, a budget of 5% of examples/search's
+// wide space, seed 1) on mcf in an engine of its own, and returns the data
+// lines of the event stream the server serves for it.
+func recordedHillStream(b *testing.B) [][]byte {
+	hillStream.once.Do(func() {
+		hillStream.events, hillStream.err = recordHillStream()
+	})
+	if hillStream.err != nil {
+		b.Fatal(hillStream.err)
+	}
+	return hillStream.events
+}
+
+func recordHillStream() ([][]byte, error) {
+	p, err := mipp.NewProfiler().Profile("mcf", benchN)
+	if err != nil {
+		return nil, err
+	}
+	e := mipp.NewEngine()
+	defer e.Close()
+	if err := e.Register("mcf", p); err != nil {
+		return nil, err
+	}
+	space, capW := benchWideSpace(), 20.0
+	ctx := context.Background()
+	sub, err := e.SubmitSearch(ctx, &api.SearchRequest{
+		SchemaVersion: api.SchemaVersion,
+		Workload:      "mcf",
+		Space:         api.SpaceSpec{Kind: "parametric", Space: space},
+		Strategy:      api.StrategySpec{Kind: "hill", Seed: 1, Restarts: 12},
+		Objective:     "ed2p",
+		CapWatts:      &capW,
+		Budget:        space.Size() / 20,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if _, err := mipp.WaitSearch(ctx, e, sub.Job.ID, time.Millisecond); err != nil {
+		return nil, err
+	}
+	rec := httptest.NewRecorder()
+	server.New(e).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/search/"+sub.Job.ID+"/events", nil))
+	var events [][]byte
+	for _, line := range bytes.Split(rec.Body.Bytes(), []byte("\n")) {
+		if data, ok := bytes.CutPrefix(line, []byte("data: ")); ok {
+			events = append(events, data)
+		}
+	}
+	return events, nil
+}
+
+func benchDecodeSearchEvents(b *testing.B, decode func([]byte, *api.SearchEvent) error) {
+	events := recordedHillStream(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, data := range events {
+			if err := decode(data, &api.SearchEvent{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(events)*b.N)/b.Elapsed().Seconds(), "events/s")
+	b.ReportMetric(float64(len(events)), "events/stream")
+}
+
+func BenchmarkClientDecodeSearchEvents(b *testing.B) {
+	benchDecodeSearchEvents(b, api.DecodeSearchEvent)
+}
+
+func BenchmarkClientDecodeSearchEventsStd(b *testing.B) {
+	benchDecodeSearchEvents(b, func(data []byte, v *api.SearchEvent) error { return json.Unmarshal(data, v) })
+}
+
 // BenchmarkEngineEvaluateFidelity re-measures the batch serving path with
 // the fidelity sampler attached (PR 10): the per-config overhead is one
 // allocation-free FNV hash in offerFidelity, so throughput must track
@@ -500,22 +585,7 @@ func BenchmarkPredictColdFill(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	space := &arch.Space{
-		Widths: []int{1, 2, 3, 4, 5, 6},
-		ROBs:   []int{16, 24, 32, 48, 64, 80, 96, 112, 128, 160, 192, 224, 256, 320, 384, 512},
-		L2Bytes: []int64{64 << 10, 128 << 10, 256 << 10, 512 << 10,
-			1 << 20, 2 << 20, 4 << 20, 8 << 20},
-		L3Bytes: []int64{1 << 20, 2 << 20, 4 << 20, 8 << 20,
-			16 << 20, 32 << 20, 64 << 20, 128 << 20},
-		Clocks: []arch.DVFSPoint{
-			{FrequencyGHz: 1.2, VoltageV: 0.85}, {FrequencyGHz: 1.6, VoltageV: 0.95},
-			{FrequencyGHz: 2.0, VoltageV: 1.0}, {FrequencyGHz: 2.2, VoltageV: 1.03},
-			{FrequencyGHz: 2.4, VoltageV: 1.05}, {FrequencyGHz: 2.66, VoltageV: 1.1},
-			{FrequencyGHz: 2.8, VoltageV: 1.13}, {FrequencyGHz: 3.0, VoltageV: 1.16},
-			{FrequencyGHz: 3.2, VoltageV: 1.2}, {FrequencyGHz: 3.33, VoltageV: 1.25},
-		},
-		Prefetcher: []bool{false, true},
-	}
+	space := benchWideSpace()
 	rng := rand.New(rand.NewSource(18))
 	configs := make([]*arch.Config, space.Size()/20)
 	for i := range configs {
@@ -543,6 +613,26 @@ func BenchmarkPredictColdFill(b *testing.B) {
 	}
 	b.ReportMetric(cold.Seconds()/warm.Seconds(), "cold/warm")
 	b.ReportMetric(cold.Seconds()*1e3/float64(b.N), "cold-ms/op")
+}
+
+// benchWideSpace is examples/search's 122,880-point space.
+func benchWideSpace() *arch.Space {
+	return &arch.Space{
+		Widths: []int{1, 2, 3, 4, 5, 6},
+		ROBs:   []int{16, 24, 32, 48, 64, 80, 96, 112, 128, 160, 192, 224, 256, 320, 384, 512},
+		L2Bytes: []int64{64 << 10, 128 << 10, 256 << 10, 512 << 10,
+			1 << 20, 2 << 20, 4 << 20, 8 << 20},
+		L3Bytes: []int64{1 << 20, 2 << 20, 4 << 20, 8 << 20,
+			16 << 20, 32 << 20, 64 << 20, 128 << 20},
+		Clocks: []arch.DVFSPoint{
+			{FrequencyGHz: 1.2, VoltageV: 0.85}, {FrequencyGHz: 1.6, VoltageV: 0.95},
+			{FrequencyGHz: 2.0, VoltageV: 1.0}, {FrequencyGHz: 2.2, VoltageV: 1.03},
+			{FrequencyGHz: 2.4, VoltageV: 1.05}, {FrequencyGHz: 2.66, VoltageV: 1.1},
+			{FrequencyGHz: 2.8, VoltageV: 1.13}, {FrequencyGHz: 3.0, VoltageV: 1.16},
+			{FrequencyGHz: 3.2, VoltageV: 1.2}, {FrequencyGHz: 3.33, VoltageV: 1.25},
+		},
+		Prefetcher: []bool{false, true},
+	}
 }
 
 // BenchmarkProfileStream generates and profiles 4 catalog workloads at 100k

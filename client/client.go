@@ -130,23 +130,27 @@ func (c *Client) do(ctx context.Context, method, path string, req any, decode fu
 	return nil
 }
 
-// answers holds the buffers evaluate answers are read into. sync.Pool
-// drops idle buffers within two GC cycles, so a burst of large answers
-// does not pin its memory.
+// answers holds the buffers evaluate and search job answers are read
+// into. sync.Pool drops idle buffers within two GC cycles, so a burst of
+// large answers does not pin its memory.
 var answers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// decodeBatch reads an evaluate answer whole into a pooled buffer and
-// decodes it from there.
-func decodeBatch(body io.Reader, resp *api.BatchResponse) error {
-	buf := answers.Get().(*bytes.Buffer)
-	defer func() {
-		buf.Reset()
-		answers.Put(buf)
-	}()
-	if _, err := buf.ReadFrom(body); err != nil {
-		return err
-	}
-	return api.DecodeBatchResponse(buf.Bytes(), resp)
+// callDecoded is do for the answers the api package's one-pass reader
+// decodes: the body is read whole into a pooled buffer and decode reads
+// resp from there, so, unlike call, anything but whitespace after the
+// answer is an error.
+func callDecoded[T any](c *Client, ctx context.Context, method, path string, req any, resp *T, decode func([]byte, *T) error) error {
+	return c.do(ctx, method, path, req, func(body io.Reader) error {
+		buf := answers.Get().(*bytes.Buffer)
+		defer func() {
+			buf.Reset()
+			answers.Put(buf)
+		}()
+		if _, err := buf.ReadFrom(body); err != nil {
+			return err
+		}
+		return decode(buf.Bytes(), resp)
+	})
 }
 
 // RegisterProfile implements mipp.Evaluator.
@@ -240,10 +244,7 @@ func (c *Client) Sweep(ctx context.Context, req *api.SweepRequest) (*api.SweepRe
 // other calls, anything but whitespace after it is an error.
 func (c *Client) Evaluate(ctx context.Context, req *api.BatchRequest) (*api.BatchResponse, error) {
 	resp := &api.BatchResponse{}
-	err := c.do(ctx, http.MethodPost, "/v1/evaluate", req, func(body io.Reader) error {
-		return decodeBatch(body, resp)
-	})
-	if err != nil {
+	if err := callDecoded(c, ctx, http.MethodPost, "/v1/evaluate", req, resp, api.DecodeBatchResponse); err != nil {
 		return nil, err
 	}
 	return resp, checkVersion(resp.SchemaVersion)
@@ -259,10 +260,12 @@ func (c *Client) Pareto(ctx context.Context, req *api.ParetoRequest) (*api.Paret
 }
 
 // SubmitSearch implements mipp.Searcher: submit an asynchronous
-// design-space search job and return its handle.
+// design-space search job and return its handle. Its answer, and those of
+// SearchJob and CancelSearch, are decoded in one pass by
+// api.DecodeSearchJobResponse, as Evaluate's are.
 func (c *Client) SubmitSearch(ctx context.Context, req *api.SearchRequest) (*api.SearchJobResponse, error) {
 	resp := &api.SearchJobResponse{}
-	if err := c.call(ctx, http.MethodPost, "/v1/search", req, resp); err != nil {
+	if err := callDecoded(c, ctx, http.MethodPost, "/v1/search", req, resp, api.DecodeSearchJobResponse); err != nil {
 		return nil, err
 	}
 	return resp, checkVersion(resp.SchemaVersion)
@@ -272,7 +275,7 @@ func (c *Client) SubmitSearch(ctx context.Context, req *api.SearchRequest) (*api
 // done — its report.
 func (c *Client) SearchJob(ctx context.Context, id string) (*api.SearchJobResponse, error) {
 	resp := &api.SearchJobResponse{}
-	if err := c.call(ctx, http.MethodGet, "/v1/search/"+url.PathEscape(id), nil, resp); err != nil {
+	if err := callDecoded(c, ctx, http.MethodGet, "/v1/search/"+url.PathEscape(id), nil, resp, api.DecodeSearchJobResponse); err != nil {
 		return nil, err
 	}
 	return resp, checkVersion(resp.SchemaVersion)
@@ -282,7 +285,7 @@ func (c *Client) SearchJob(ctx context.Context, id string) (*api.SearchJobRespon
 // final snapshot.
 func (c *Client) CancelSearch(ctx context.Context, id string) (*api.SearchJobResponse, error) {
 	resp := &api.SearchJobResponse{}
-	if err := c.call(ctx, http.MethodDelete, "/v1/search/"+url.PathEscape(id), nil, resp); err != nil {
+	if err := callDecoded(c, ctx, http.MethodDelete, "/v1/search/"+url.PathEscape(id), nil, resp, api.DecodeSearchJobResponse); err != nil {
 		return nil, err
 	}
 	return resp, checkVersion(resp.SchemaVersion)

@@ -411,3 +411,107 @@ func TestProfileAdmin(t *testing.T) {
 		t.Errorf("engine still serves deleted profile: %v", err)
 	}
 }
+
+// TestSearchEventStreamFraming feeds SearchEventStream.Next an SSE body
+// with the framing a reader must tolerate: comments, CRLF line ends, a
+// message split over two data lines inside a JSON string, a data line and
+// a comment line each longer than the read buffer, and stray separators. Each message decodes
+// to what json.Unmarshal makes of its data.
+func TestSearchEventStreamFraming(t *testing.T) {
+	front := make([]api.SearchEval, 120)
+	for i := range front {
+		front[i] = api.SearchEval{Index: i, Config: "w4-rob128-l2_256k", Watts: float64(i) + 0.5, Feasible: true}
+	}
+	long, err := json.Marshal(api.SearchEvent{SchemaVersion: 1, JobID: "j", Seq: 2, Type: api.SearchEventFront, Front: front})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(long) <= 4096 {
+		t.Fatalf("the long event is %d bytes, not longer than the read buffer", len(long))
+	}
+	datas := []string{
+		`{"schema_version":1,"job_id":"j","seq":1,"type":"progress","generation":1}`,
+		string(long),
+		`{"schema_version":1,"job_id":"j","seq":3,"type":"progress","evaluations":7}`,
+		`{"schema_version":1,"job_id":"j","seq":4,"type":"done","report":{"strategy":"hill","seed":3,"front":[],"trace":null}}`,
+	}
+	body := ": keep-alive\n\n" +
+		"id: 1\nevent: progress\ndata: " + datas[0] + "\n\n" +
+		": " + string(long) + "\n" +
+		"id: 2\r\nevent: front\r\ndata: " + datas[1] + "\r\n\r\n" +
+		"\n\n" +
+		"id: 3\r\ndata: " + datas[2][:24] + "\r\ndata:" + datas[2][24:] + "\r\n\r\n" +
+		"id: 4\nevent: done\ndata: " + datas[3] + "\n\n"
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		_, _ = io.WriteString(w, body)
+	}))
+	defer srv.Close()
+	stream, err := client.New(srv.URL).SearchEvents(context.Background(), "j", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Close()
+	for i, data := range datas {
+		got, err := stream.Next()
+		if err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+		var want api.SearchEvent
+		if err := json.Unmarshal([]byte(data), &want); err != nil {
+			t.Fatal(err)
+		}
+		g, _ := json.Marshal(got)
+		w, _ := json.Marshal(&want)
+		if string(g) != string(w) {
+			t.Fatalf("event %d:\n got  %.300s\n want %.300s", i, g, w)
+		}
+		if stream.LastSeq != want.Seq {
+			t.Errorf("LastSeq = %d after event %d, want %d", stream.LastSeq, i, want.Seq)
+		}
+	}
+	if _, err := stream.Next(); !errors.Is(err, io.EOF) {
+		t.Errorf("after the last event: %v, want io.EOF", err)
+	}
+}
+
+// TestSearchJobTrailingData checks that search job answers, decoded in one
+// pass like evaluate answers, reject anything but whitespace after the
+// answer.
+func TestSearchJobTrailingData(t *testing.T) {
+	const answer = `{"schema_version":1,"job":{"id":"job-x-1","state":"done","workload":"mcf","strategy":"hill","space_size":4,"evaluations":2,"generations":1}}`
+	for _, c := range []struct {
+		name, body string
+		ok         bool
+	}{
+		{"garbage", answer + "x", false},
+		{"second value", answer + "\n{}", false},
+		{"whitespace", answer + " \n\t\r\n", true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/json")
+				_, _ = io.WriteString(w, c.body)
+			}))
+			defer srv.Close()
+			cl := client.New(srv.URL)
+			for name, call := range map[string]func() (*api.SearchJobResponse, error){
+				"submit": func() (*api.SearchJobResponse, error) {
+					return cl.SubmitSearch(context.Background(), &api.SearchRequest{SchemaVersion: api.SchemaVersion})
+				},
+				"poll":   func() (*api.SearchJobResponse, error) { return cl.SearchJob(context.Background(), "job-x-1") },
+				"cancel": func() (*api.SearchJobResponse, error) { return cl.CancelSearch(context.Background(), "job-x-1") },
+			} {
+				resp, err := call()
+				switch {
+				case c.ok && err != nil:
+					t.Fatalf("%s: %v", name, err)
+				case c.ok && (resp.Job.ID != "job-x-1" || resp.Job.Evaluations != 2):
+					t.Errorf("%s decoded %+v", name, resp.Job)
+				case !c.ok && err == nil:
+					t.Errorf("%s accepted %q", name, c.body)
+				}
+			}
+		})
+	}
+}

@@ -10,7 +10,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strings"
 
 	"mipp/api"
 	"mipp/obs"
@@ -145,6 +144,9 @@ func (s *SweepStream) Close() error {
 type SearchEventStream struct {
 	resp *http.Response
 	br   *bufio.Reader
+	// data holds the current message's data lines, reused from one
+	// message to the next.
+	data []byte
 	// LastSeq is the Seq of the last event delivered — the value to pass
 	// as after when resuming a dropped stream.
 	LastSeq int
@@ -185,25 +187,48 @@ func (c *Client) SearchEvents(ctx context.Context, id string, after int) (*Searc
 }
 
 // Next returns the next event, or io.EOF when the server ends the stream
-// (after the terminal event).
+// (after the terminal event). Each event is decoded in one pass by
+// api.DecodeSearchEvent.
 func (s *SearchEventStream) Next() (*api.SearchEvent, error) {
-	var data []byte
+	s.data = s.data[:0]
 	for {
-		line, err := s.br.ReadString('\n')
+		// A line longer than br's buffer comes in several fragments; a
+		// data line's fragments are appended to s.data as they come.
+		frag, err := s.br.ReadSlice('\n')
+		data := bytes.HasPrefix(frag, dataField)
+		if data {
+			frag = bytes.TrimPrefix(frag[len(dataField):], []byte(" "))
+		}
+		mark := len(s.data)
+		blank := true // the line holds nothing but line ends
+		for {
+			if data {
+				s.data = append(s.data, frag...)
+			} else if blank {
+				blank = len(bytes.TrimRight(frag, "\r\n")) == 0
+			}
+			if !errors.Is(err, bufio.ErrBufferFull) {
+				break
+			}
+			frag, err = s.br.ReadSlice('\n')
+		}
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil, io.EOF
 			}
 			return nil, fmt.Errorf("client: read event stream: %w", err)
 		}
-		line = strings.TrimRight(line, "\r\n")
 		switch {
-		case line == "":
-			if len(data) == 0 {
-				continue // stray separator or comment-only message
-			}
+		case data:
+			s.data = s.data[:mark+len(bytes.TrimRight(s.data[mark:], "\r\n"))]
+		case !blank:
+			// id:/event: lines duplicate fields inside the data payload;
+			// comments (":") keep the connection alive. All skippable.
+		case len(s.data) == 0:
+			// A stray separator or a comment-only message.
+		default:
 			ev := &api.SearchEvent{}
-			if err := json.Unmarshal(data, ev); err != nil {
+			if err := api.DecodeSearchEvent(s.data, ev); err != nil {
 				return nil, fmt.Errorf("client: decode search event: %w", err)
 			}
 			if err := api.CheckVersion(ev.SchemaVersion); err != nil {
@@ -211,14 +236,11 @@ func (s *SearchEventStream) Next() (*api.SearchEvent, error) {
 			}
 			s.LastSeq = ev.Seq
 			return ev, nil
-		case strings.HasPrefix(line, "data:"):
-			data = append(data, strings.TrimPrefix(strings.TrimPrefix(line, "data:"), " ")...)
-		default:
-			// id:/event: lines duplicate fields inside the data payload;
-			// comments (":") keep the connection alive. All skippable.
 		}
 	}
 }
+
+var dataField = []byte("data:")
 
 // Close releases the subscription. Safe mid-stream: the server observes
 // the disconnect and drops the subscriber.

@@ -12,7 +12,9 @@ import (
 // late or resuming subscribers (a long genetic run emits two events per
 // generation — trace step and front change — so this covers thousands of
 // generations), and each subscriber channel buffers searchEventBuffer
-// events so the publishing search goroutine never blocks on a slow reader.
+// events beyond its replay so the publishing search goroutine never blocks
+// on a slow reader. The last slot of every channel is the terminal
+// event's.
 const (
 	maxRetainedSearchEvents = 4096
 	searchEventBuffer       = 256
@@ -21,8 +23,11 @@ const (
 // searchEventLog is one job's event history plus its live subscribers. The
 // search goroutine is the only publisher; any number of SSE handlers
 // subscribe. Publishing never blocks: a subscriber that cannot keep up has
-// events dropped from its channel feed (it can detect the gap by Seq and
-// re-subscribe from its last seen event, served from the retained log).
+// progress and front events dropped from its channel feed once one slot
+// is left, and that slot is kept for the terminal event, so every
+// subscriber receives the terminal event and its report. A subscriber sees
+// a gap as a jump in Seq and re-subscribes from the last event it saw,
+// which the retained log replays unless it has trimmed it.
 type searchEventLog struct {
 	mu     sync.Mutex
 	seq    int
@@ -57,15 +62,15 @@ func (l *searchEventLog) publish(ev api.SearchEvent) {
 	}
 	// Fan-out order across independent subscriber channels is
 	// unobservable: every subscriber receives the same events in the same
-	// Seq order regardless of which channel is fed first.
+	// Seq order regardless of which channel is fed first. Every send
+	// happens under l.mu, so a free slot stays free until this loop fills
+	// it.
 	for _, ch := range l.subs {
-		select {
-		//mipp:allow determinism per-subscriber fan-out order does not affect any subscriber's observed event order
-		case ch <- ev:
-		default: // slow subscriber: drop, it resumes by Seq
-			if l.dropped != nil {
-				l.dropped.Inc()
-			}
+		if len(ch) < cap(ch)-1 || ev.Terminal() && len(ch) < cap(ch) {
+			//mipp:allow determinism per-subscriber fan-out order does not affect any subscriber's observed event order
+			ch <- ev
+		} else if l.dropped != nil { // slow subscriber: drop, it resumes by Seq
+			l.dropped.Inc()
 		}
 	}
 }

@@ -3,12 +3,14 @@ package mipp_test
 // Search event-stream tests at the engine layer: a job's retained events
 // replay to late subscribers, sequence numbers resume without loss or
 // duplication, the terminal event carries the same report the job API
-// serves, and unknown jobs fail with the sentinel.
+// serves, even to a subscriber that lagged, and unknown jobs fail with the
+// sentinel.
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -159,5 +161,89 @@ func TestSearchJobIDsUnique(t *testing.T) {
 	}
 	if _, err := mipp.WaitSearch(ctx, other, sub.Job.ID, time.Millisecond); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// gatedStore serves one profile and holds every load of it until gate
+// closes, so a search job on it publishes nothing before the test lets it.
+type gatedStore struct {
+	name string
+	p    *mipp.Profile
+	gate <-chan struct{}
+}
+
+func (s *gatedStore) Put(string, *mipp.Profile) (mipp.ProfileStoreInfo, error) {
+	return mipp.ProfileStoreInfo{}, errors.New("gatedStore is read-only")
+}
+
+func (s *gatedStore) Get(name string) (*mipp.Profile, bool, error) {
+	if name != s.name {
+		return nil, false, nil
+	}
+	<-s.gate
+	return s.p, true, nil
+}
+
+func (s *gatedStore) Delete(string) (bool, error) { return false, nil }
+
+func (s *gatedStore) Info(name string) (mipp.ProfileStoreInfo, bool) {
+	return mipp.ProfileStoreInfo{Name: name}, name == s.name
+}
+
+func (s *gatedStore) Names() []string        { return []string{s.name} }
+func (s *gatedStore) Stats() mipp.StoreStats { return mipp.StoreStats{} }
+
+// TestSearchEventsLaggingSubscriberGetsTerminal subscribes to a job before
+// it publishes and reads only after it has ended, by which time the job
+// has published more events than the subscriber channel buffers. The
+// channel keeps its last slot for the terminal event: the subscriber gets
+// the first 255 events and then the terminal one with the report, where it
+// used to get 256 progress events and neither.
+func TestSearchEventsLaggingSubscriberGetsTerminal(t *testing.T) {
+	p, err := mipp.NewProfiler().Profile("mcf", 30_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := make(chan struct{})
+	load := sync.OnceFunc(func() { close(loaded) })
+	defer load()
+	e := mipp.NewEngine(mipp.WithEngineStore(&gatedStore{name: "mcf", p: p, gate: loaded}))
+	defer e.Close()
+	ctx := context.Background()
+	req := searchRequest(api.StrategySpec{Kind: "genetic", Seed: 11, Population: 4, Generations: 400})
+	req.CapWatts, req.Budget = nil, 0
+	sub, err := e.SubmitSearch(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, cancel, err := e.SearchEvents(sub.Job.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	load()
+	final, err := mipp.WaitSearch(ctx, e, sub.Job.ID, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := drainEvents(t, ch)
+
+	if len(events) != 256 {
+		t.Fatalf("the lagging subscriber got %d events, want its channel's 256", len(events))
+	}
+	for i, ev := range events[:255] {
+		if ev.Seq != i+1 || ev.Terminal() {
+			t.Fatalf("event %d is %s seq %d, want the job's event %d", i, ev.Type, ev.Seq, i+1)
+		}
+	}
+	terminal := events[255]
+	if terminal.Type != api.JobDone || terminal.Report == nil || terminal.Seq <= 256 {
+		t.Fatalf("last event is %s seq %d (report %v), want the terminal done event past seq 256",
+			terminal.Type, terminal.Seq, terminal.Report != nil)
+	}
+	got, _ := json.Marshal(terminal.Report)
+	want, _ := json.Marshal(final.Job.Report)
+	if string(got) != string(want) {
+		t.Errorf("terminal report differs from the polled report:\n%.300s\n%.300s", got, want)
 	}
 }

@@ -69,8 +69,9 @@ type Router struct {
 
 	// jobs remembers which replica owns each search job the router has
 	// seen, so polls, cancels and event streams follow the submit. A
-	// forgotten job (router restart) is re-found by probing replicas.
-	jobs sync.Map // job ID → *member
+	// forgotten job (router restart, or a route past the table's bound) is
+	// re-found by probing replicas.
+	jobs *jobRoutes
 
 	// metrics is the registry /metrics serves; fanout times the
 	// scatter-gather handlers' full fan-out (evaluate, workloads).
@@ -112,6 +113,7 @@ func New(opts Options) (*Router, error) {
 		logger:    opts.Logger,
 		failLimit: int32(opts.FailThreshold),
 		start:     time.Now(),
+		jobs:      newJobRoutes(maxJobRoutesPerReplica * len(urls)),
 	}
 	if rt.hc == nil {
 		rt.hc = &http.Client{}
@@ -526,8 +528,8 @@ func (rt *Router) handleSearchSubmit(w http.ResponseWriter, r *http.Request) {
 	defer releaseAnswer(data)
 	if resp.StatusCode/100 == 2 {
 		var out api.SearchJobResponse
-		if err := json.Unmarshal(data.Bytes(), &out); err == nil && out.Job.ID != "" {
-			rt.jobs.Store(out.Job.ID, m)
+		if err := api.DecodeSearchJobResponse(data.Bytes(), &out); err == nil && out.Job.ID != "" {
+			rt.jobs.store(out.Job.ID, m)
 			rt.logf("search job %s: routed to %s rid=%s", out.Job.ID, m.url, api.RequestIDFromContext(r.Context()))
 		}
 	}
@@ -539,12 +541,11 @@ func (rt *Router) handleSearchSubmit(w http.ResponseWriter, r *http.Request) {
 // router restart forgets its routes; the jobs themselves survive on the
 // replicas).
 func (rt *Router) findJob(ctx context.Context, id string) *member {
-	if v, ok := rt.jobs.Load(id); ok {
-		m := v.(*member)
+	if m := rt.jobs.load(id); m != nil {
 		if m.healthy.Load() {
 			return m
 		}
-		rt.jobs.Delete(id)
+		rt.jobs.delete(id)
 	}
 	for _, m := range rt.ring.healthyMembers() {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.url+"/v1/search/"+url.PathEscape(id), nil)
@@ -562,7 +563,7 @@ func (rt *Router) findJob(ctx context.Context, id string) *member {
 		_, _ = io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode/100 == 2 {
-			rt.jobs.Store(id, m)
+			rt.jobs.store(id, m)
 			return m
 		}
 	}
@@ -591,8 +592,10 @@ func (rt *Router) byJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadGateway, fmt.Errorf("replica %s: %w", m.url, err))
 		return
 	}
-	if r.Method == http.MethodDelete {
-		rt.jobs.Delete(id)
+	// A cancelled job needs no route, and neither does one its owner has
+	// forgotten.
+	if r.Method == http.MethodDelete || resp.StatusCode == http.StatusNotFound {
+		rt.jobs.delete(id)
 	}
 	rt.relay(w, resp)
 }
@@ -791,7 +794,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			out.Status = "ok"
 		}
 	}
-	rt.jobs.Range(func(any, any) bool { out.JobsRouted++; return true })
+	out.JobsRouted = rt.jobs.len()
 	writeJSON(w, http.StatusOK, out)
 }
 

@@ -471,32 +471,40 @@ func statusFor(err error) int {
 // writeJSON answers status with v as JSON. The whole value is encoded
 // before its one Write, so the status goes out with that Write: a value
 // that fails to encode (a non-finite float, say) answers 500 with an error
-// envelope instead of status with an empty body. Evaluate answers, the
-// largest bodies, are written by api.AppendBatchResponse into a pooled
+// envelope instead of status with an empty body. Evaluate and search job
+// answers are written by the api package's appenders into a pooled
 // buffer, byte for byte what json.Encoder writes.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	sw := statusOnWrite{ResponseWriter: w, status: status}
-	if resp, ok := v.(*api.BatchResponse); ok {
-		bp := answerBufs.Get().(*[]byte)
-		b, err := api.AppendBatchResponse((*bp)[:0], resp)
-		if err != nil {
+	switch v := v.(type) {
+	case *api.BatchResponse:
+		writeAppended(&sw, v, api.AppendBatchResponse)
+	case *api.SearchJobResponse:
+		writeAppended(&sw, v, api.AppendSearchJobResponse)
+	default:
+		if err := json.NewEncoder(&sw).Encode(v); err != nil && !sw.wrote {
 			writeError(w, http.StatusInternalServerError, err)
-		} else {
-			sw.Write(b)
 		}
-		if cap(b) <= maxPooledAnswer {
-			*bp = b
-			answerBufs.Put(bp)
-		}
-		return
-	}
-	if err := json.NewEncoder(&sw).Encode(v); err != nil && !sw.wrote {
-		writeError(w, http.StatusInternalServerError, err)
 	}
 }
 
-// answerBufs pools the buffers evaluate answers are encoded into; a buffer
+// writeAppended writes v as appendTo encodes it into a pooled buffer.
+func writeAppended[T any](sw *statusOnWrite, v *T, appendTo func([]byte, *T) ([]byte, error)) {
+	bp := answerBufs.Get().(*[]byte)
+	b, err := appendTo((*bp)[:0], v)
+	if err != nil {
+		writeError(sw.ResponseWriter, http.StatusInternalServerError, err)
+	} else {
+		sw.Write(b)
+	}
+	if cap(b) <= maxPooledAnswer {
+		*bp = b
+		answerBufs.Put(bp)
+	}
+}
+
+// answerBufs pools the buffers appended answers are encoded into; a buffer
 // grown past maxPooledAnswer by one large answer is left to the collector.
 var answerBufs = sync.Pool{New: func() any { return new([]byte) }}
 

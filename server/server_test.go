@@ -33,7 +33,7 @@ var testEngineOnce struct {
 }
 
 // testEngine shares one profiled engine across handler tests.
-func testEngine(t *testing.T) *mipp.Engine {
+func testEngine(t testing.TB) *mipp.Engine {
 	t.Helper()
 	testEngineOnce.Do(func() {
 		e := mipp.NewEngine()

@@ -90,6 +90,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // its data one api.SearchEvent. The stream replays retained events (from
 // Last-Event-ID or ?after=), follows the job live, and ends after the
 // terminal event — a finished job replays and closes immediately.
+//
+// Each wake-up writes every event already queued on the subscription with
+// one Write and one Flush; the handler never waits for more. An event
+// whose Seq skips past the last one written means the engine dropped
+// events while this handler lagged: the handler re-subscribes from the
+// last Seq it wrote, once per gap, and the retained log fills it in. A gap
+// that the log has already trimmed reaches the client as a gap.
 func (s *Server) handleSearchEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	after := 0
@@ -111,7 +118,11 @@ func (s *Server) handleSearchEvents(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, statusFor(err), err)
 		return
 	}
-	defer cancel()
+	defer func() {
+		if cancel != nil {
+			cancel()
+		}
+	}()
 	s.logf("search job %s: event stream subscribed after=%d rid=%s",
 		id, after, api.RequestIDFromContext(r.Context()))
 
@@ -122,24 +133,71 @@ func (s *Server) handleSearchEvents(w http.ResponseWriter, r *http.Request) {
 	if flusher != nil {
 		flusher.Flush()
 	}
+	bp := answerBufs.Get().(*[]byte)
+	buf := (*bp)[:0]
+	defer func() {
+		if cap(buf) <= maxPooledAnswer {
+			*bp = buf
+			answerBufs.Put(bp)
+		}
+	}()
+	last := after // the Seq of the last event framed
+	fresh := true // the next event is the first of a subscription
 	for {
+		var (
+			ev api.SearchEvent
+			ok bool
+		)
 		select {
 		case <-r.Context().Done():
 			return
-		case ev, ok := <-ch:
-			if !ok {
-				return // terminal event delivered, stream complete
+		case ev, ok = <-ch:
+		}
+		buf = buf[:0]
+	queued:
+		for ok && err == nil {
+			if ev.Seq > last+1 && !fresh {
+				// Events were dropped from this subscription. A new one
+				// replays them from the log, unless the log has trimmed
+				// them: then its first event forwards the gap.
+				cancel()
+				ch, cancel, err = s.engine.SearchEvents(id, last)
+				fresh = true
+			} else {
+				n := len(buf)
+				if buf, err = appendFrame(buf, &ev); err != nil {
+					buf = buf[:n]
+				}
+				last, fresh = ev.Seq, false
 			}
-			data, err := json.Marshal(ev)
-			if err != nil {
-				return
+			select {
+			case ev, ok = <-ch:
+			default:
+				break queued
 			}
-			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data); err != nil {
+		}
+		if len(buf) > 0 {
+			if _, err := w.Write(buf); err != nil {
 				return
 			}
 			if flusher != nil {
 				flusher.Flush()
 			}
 		}
+		if !ok || err != nil {
+			return // the stream is complete, or cannot go on
+		}
 	}
+}
+
+// appendFrame appends ev's SSE message: its Seq as the id, its type as the
+// event name and its JSON as the data line.
+func appendFrame(dst []byte, ev *api.SearchEvent) ([]byte, error) {
+	dst = append(dst, "id: "...)
+	dst = strconv.AppendInt(dst, int64(ev.Seq), 10)
+	dst = append(dst, "\nevent: "...)
+	dst = append(dst, ev.Type...)
+	dst = append(dst, "\ndata: "...)
+	dst, err := api.AppendSearchEvent(dst, ev)
+	return append(dst, "\n\n"...), err
 }
