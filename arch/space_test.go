@@ -114,10 +114,95 @@ func TestSpaceValidateRejectsBadAxes(t *testing.T) {
 			{FrequencyGHz: 2.66, VoltageV: 1.1},
 			{FrequencyGHz: 2.6649, VoltageV: 1.1},
 		}},
+		// Every other axis's name pieces must be distinct too.
+		{Widths: []int{4, 2, 4}},
+		{ROBs: []int{128, 128}},
+		{L2Bytes: []int64{256 << 10, 512 << 10, 256 << 10}},
+		{L3Bytes: []int64{256 << 10, 512 << 10}}, // both l3_0m
+		{Prefetcher: []bool{true, true}},
 	}
 	for i, sp := range bad {
 		if err := sp.Validate(); err == nil {
 			t.Errorf("space %d validated; want error", i)
 		}
+	}
+	err := (&arch.Space{Name: "s", L3Bytes: []int64{256 << 10, 512 << 10}}).Validate()
+	//mipp:allow wraperr the message naming the colliding axis and values is under test here
+	if want := `config: space "s": L3 bytes 262144 and 524288 collide in the generated names`; err == nil || err.Error() != want {
+		t.Errorf("L3 collision: %v, want %s", err, want)
+	}
+}
+
+// TestAtIntoOverwritesDirtyConfig fills every point of two spaces, one
+// with all six axes and one with pinned axes, into one Config that a point
+// of a third space has dirtied first; each must equal At's fresh copy.
+func TestAtIntoOverwritesDirtyConfig(t *testing.T) {
+	full := &arch.Space{
+		Widths:     []int{2, 6},
+		ROBs:       []int{32, 256},
+		L2Bytes:    []int64{128 << 10, 1 << 20},
+		L3Bytes:    []int64{1 << 20, 16 << 20},
+		Clocks:     []arch.DVFSPoint{{FrequencyGHz: 1.6, VoltageV: 0.95}, {FrequencyGHz: 3.2, VoltageV: 1.2}},
+		Prefetcher: []bool{true, false},
+	}
+	pinned := &arch.Space{
+		ROBs:   []int{48, 512},
+		Clocks: []arch.DVFSPoint{{FrequencyGHz: 2.2, VoltageV: 1.03}},
+	}
+	dirty := &arch.Space{
+		Widths:     []int{1},
+		ROBs:       []int{16},
+		L2Bytes:    []int64{8 << 20},
+		L3Bytes:    []int64{128 << 20},
+		Clocks:     []arch.DVFSPoint{{FrequencyGHz: 1.2, VoltageV: 0.85}},
+		Prefetcher: []bool{true},
+	}
+	for _, sp := range []*arch.Space{full, pinned} {
+		if err := sp.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		var c arch.Config
+		for i := 0; i < sp.Size(); i++ {
+			dirty.AtInto(0, &c)
+			c.L1D.SizeBytes, c.MemLatencyNS, c.FU[0].Latency = 1, 1, 99
+			sp.AtInto(i, &c)
+			if want := sp.At(i); !reflect.DeepEqual(&c, want) {
+				t.Fatalf("AtInto(%d) over a dirty config = %+v\nwant %+v", i, c, want)
+			}
+		}
+	}
+}
+
+// TestSpaceValidateAllocations: Validate probes every axis value in one
+// reused Config, so a space with 50 probes allocates no more than one with
+// the same clocks and nothing else to probe.
+func TestSpaceValidateAllocations(t *testing.T) {
+	clocks := []arch.DVFSPoint{
+		{FrequencyGHz: 1.2, VoltageV: 0.85}, {FrequencyGHz: 1.6, VoltageV: 0.95},
+		{FrequencyGHz: 2.0, VoltageV: 1.0}, {FrequencyGHz: 2.2, VoltageV: 1.03},
+		{FrequencyGHz: 2.4, VoltageV: 1.05}, {FrequencyGHz: 2.66, VoltageV: 1.1},
+		{FrequencyGHz: 2.8, VoltageV: 1.13}, {FrequencyGHz: 3.0, VoltageV: 1.16},
+		{FrequencyGHz: 3.2, VoltageV: 1.2}, {FrequencyGHz: 3.33, VoltageV: 1.25},
+	}
+	wide := &arch.Space{
+		Widths: []int{1, 2, 3, 4, 5, 6},
+		ROBs:   []int{16, 24, 32, 48, 64, 80, 96, 112, 128, 160, 192, 224, 256, 320, 384, 512},
+		L2Bytes: []int64{64 << 10, 128 << 10, 256 << 10, 512 << 10,
+			1 << 20, 2 << 20, 4 << 20, 8 << 20},
+		L3Bytes: []int64{1 << 20, 2 << 20, 4 << 20, 8 << 20,
+			16 << 20, 32 << 20, 64 << 20, 128 << 20},
+		Clocks:     clocks,
+		Prefetcher: []bool{false, true},
+	}
+	clocksOnly := &arch.Space{Clocks: clocks}
+	allocs := func(sp *arch.Space) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if err := sp.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if w, c := allocs(wide), allocs(clocksOnly); w > c {
+		t.Errorf("Validate of the wide space made %v allocations, of its clocks alone %v: probes allocate", w, c)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"mipp/api"
 	"mipp/internal/dse"
@@ -81,6 +82,9 @@ type predictorEntry struct {
 	compile func()
 	pd      *Predictor
 	err     error
+	// done is set when compile has finished: pd and err may be read
+	// without once.Do only after done reads true.
+	done atomic.Bool
 }
 
 // EngineOption customizes an Engine.
@@ -218,6 +222,17 @@ func (e *Engine) profileExists(name string) error {
 		}
 	}
 	return fmt.Errorf("%w: %q (registered: %v)", ErrUnknownWorkload, name, e.WorkloadNames())
+}
+
+// compiled reports whether the predictor cache holds a predictor for
+// (workload, spec) that finished compiling without error. A workload
+// removed through this engine has no such entry (invalidateLocked drops
+// them).
+func (e *Engine) compiled(workload string, spec api.PredictorSpec) bool {
+	e.mu.RLock()
+	entry, ok := e.predictors[predictorKey{workload: workload, options: spec.Key()}]
+	e.mu.RUnlock()
+	return ok && entry.done.Load() && entry.err == nil
 }
 
 // resolveProfile returns the profile registered under name, lazy-loading it
@@ -408,6 +423,7 @@ func (e *Engine) predictor(ctx context.Context, workload string, spec api.Predic
 		if entry, ok = e.predictors[key]; !ok {
 			entry = &predictorEntry{}
 			entry.compile = func() {
+				defer entry.done.Store(true)
 				cctx, span := obs.StartSpan(ctx, e.logger, api.RequestIDFromContext(ctx), "engine.compile")
 				t := obs.StartTimer()
 				defer func() {

@@ -14,7 +14,9 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"mipp"
 	"mipp/api"
@@ -296,5 +298,74 @@ func TestEngineStoreIOFailureTaxonomy(t *testing.T) {
 		SchemaVersion: api.SchemaVersion, Profile: []byte(`{"schema_version":42}`),
 	}); !errors.Is(err, mipp.ErrBadRequest) {
 		t.Errorf("malformed profile = %v, want ErrBadRequest", err)
+	}
+}
+
+// infoCounter counts the Info calls its store answers.
+type infoCounter struct {
+	mipp.ProfileStore
+	infos atomic.Int64
+}
+
+func (s *infoCounter) Info(name string) (mipp.ProfileStoreInfo, bool) {
+	s.infos.Add(1)
+	return s.ProfileStore.Info(name)
+}
+
+// TestSubmitSearchCompiledSkipsStore: a search submit for a workload whose
+// predictor has compiled is admitted without a store lookup, and a
+// workload removed through the engine is refused again, by Remove or by
+// DeleteProfile.
+func TestSubmitSearchCompiledSkipsStore(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := &infoCounter{ProfileStore: st}
+	e := mipp.NewEngine(mipp.WithEngineStore(cs))
+	ctx := context.Background()
+	submit := func(workload string) error {
+		sub, err := e.SubmitSearch(ctx, &api.SearchRequest{
+			SchemaVersion: api.SchemaVersion,
+			Workload:      workload,
+			Space:         api.SpaceSpec{Kind: "design"},
+			Strategy:      api.StrategySpec{Kind: "random", Seed: 1},
+			Budget:        8,
+		})
+		if err != nil {
+			return err
+		}
+		final, err := mipp.WaitSearch(ctx, e, sub.Job.ID, time.Millisecond)
+		if err == nil && final.Job.State != api.JobDone {
+			t.Fatalf("%s: job %+v", workload, final.Job)
+		}
+		return err
+	}
+	for _, remove := range []func(string) error{
+		func(name string) error { e.Remove(name); return nil },
+		func(name string) error { _, err := e.DeleteProfile(ctx, name); return err },
+	} {
+		if err := e.Register("mcf", engineProfile(t, "mcf")); err != nil {
+			t.Fatal(err)
+		}
+		if err := submit("mcf"); err != nil {
+			t.Fatal(err)
+		}
+		before := cs.infos.Load()
+		if before == 0 {
+			t.Fatal("the first submit admitted mcf without asking the store")
+		}
+		if err := submit("mcf"); err != nil {
+			t.Fatal(err)
+		}
+		if n := cs.infos.Load() - before; n != 0 {
+			t.Errorf("a submit of a compiled workload made %d store Info calls, want 0", n)
+		}
+		if err := remove("mcf"); err != nil {
+			t.Fatal(err)
+		}
+		if err := submit("mcf"); !errors.Is(err, mipp.ErrUnknownWorkload) {
+			t.Errorf("submit after removal: %v, want ErrUnknownWorkload", err)
+		}
 	}
 }

@@ -184,6 +184,19 @@ func (s *Space) Neighbors(i int, dst []int) []int {
 //
 //mipp:hotpath
 func (s *Space) At(i int) *Config {
+	c := new(Config)
+	s.AtInto(i, c)
+	return c
+}
+
+// AtInto writes the i-th configuration of the enumeration into c,
+// overwriting every field, so one slot can be reused from point to point
+// (the search runner fills each generation into a reused slab this way).
+// c then equals *At(i); its name is the only allocation. Panics if i is out
+// of [0, Size()).
+//
+//mipp:hotpath
+func (s *Space) AtInto(i int, c *Config) {
 	if i < 0 || i >= s.Size() {
 		//mipp:allow hotpath cold out-of-range panic, unreachable per well-formed evaluation
 		panic(fmt.Sprintf("config: Space.At(%d) out of range [0,%d)", i, s.Size()))
@@ -195,15 +208,16 @@ func (s *Space) At(i int) *Config {
 		coords[ax] = j % d[ax]
 		j /= d[ax]
 	}
-	return s.at(coords)
+	s.fill(coords, c)
+	c.Name = s.name(coords, c)
 }
 
-// at builds the configuration at a coordinate vector (coordinates already
-// in range).
+// fill writes the configuration at a coordinate vector (coordinates already
+// in range) into c, every field but the generated name: a copy of the
+// reference with each non-pinned axis applied.
 //
 //mipp:hotpath
-func (s *Space) at(coords [NumSpaceAxes]int) *Config {
-	c := new(Config)
+func (s *Space) fill(coords [NumSpaceAxes]int, c *Config) {
 	*c = *spaceBase()
 	if len(s.Widths) > 0 {
 		c.DispatchWidth = s.Widths[coords[0]]
@@ -223,15 +237,18 @@ func (s *Space) at(coords [NumSpaceAxes]int) *Config {
 		c.FrequencyGHz = p.FrequencyGHz
 		c.VoltageV = p.VoltageV
 	}
-	pf := c.Prefetcher.Enabled
 	if len(s.Prefetcher) > 0 {
-		pf = s.Prefetcher[coords[5]]
-		c.Prefetcher.Enabled = pf
+		c.Prefetcher.Enabled = s.Prefetcher[coords[5]]
 	}
+}
 
-	// DesignSpace's naming scheme ("w4-rob128-l2_256k-l3_8m-f2.66"), built
-	// with strconv appends so the name costs one allocation, plus a "+pf"
-	// suffix when a prefetcher axis switches it on.
+// name builds the generated name of the configuration fill wrote into c:
+// DesignSpace's naming scheme ("w4-rob128-l2_256k-l3_8m-f2.66"), with
+// strconv appends so the name costs one allocation, plus a "+pf" suffix
+// when a prefetcher axis switches it on.
+//
+//mipp:hotpath
+func (s *Space) name(coords [NumSpaceAxes]int, c *Config) string {
 	buf := make([]byte, 0, 48)
 	buf = append(buf, 'w')
 	buf = strconv.AppendInt(buf, int64(c.DispatchWidth), 10)
@@ -243,11 +260,10 @@ func (s *Space) at(coords [NumSpaceAxes]int) *Config {
 	buf = strconv.AppendInt(buf, c.L3.SizeBytes>>20, 10)
 	buf = append(buf, "m-f"...)
 	buf = append(buf, s.freqName(coords[4], c.FrequencyGHz)...)
-	if pf && len(s.Prefetcher) > 0 {
+	if c.Prefetcher.Enabled && len(s.Prefetcher) > 0 {
 		buf = append(buf, "+pf"...)
 	}
-	c.Name = string(buf)
-	return c
+	return string(buf)
 }
 
 // freqName returns the fixed-two-decimal string for the clock axis value at
@@ -290,9 +306,10 @@ func (s *Space) All() iter.Seq2[int, *Config] {
 }
 
 // Validate checks the axes: positive structure sizes, power-of-two cache
-// set counts, positive clocks, and a bounded cross-product size. It probes
-// one configuration per axis value (varying a single axis from the origin),
-// so a bad value is reported with the axis that introduced it.
+// set counts, positive clocks, distinct generated names, and a bounded
+// cross-product size. It probes one configuration per axis value (varying a
+// single axis from the origin) in one reused Config, so a bad value is
+// reported with the axis that introduced it.
 func (s *Space) Validate() error {
 	n := int64(1)
 	for _, d := range s.dims() {
@@ -301,31 +318,102 @@ func (s *Space) Validate() error {
 		}
 		n *= int64(d)
 	}
-	seen := make(map[string]bool, len(s.Clocks))
 	for _, p := range s.Clocks {
 		if p.FrequencyGHz <= 0 || p.VoltageV <= 0 {
 			return fmt.Errorf("config: space %q: non-positive operating point %+v", s.Name, p)
 		}
-		// Names encode the frequency at two decimals; clocks that
-		// collide there would silently conflate everything keyed by
-		// config name.
-		key := strconv.FormatFloat(p.FrequencyGHz, 'f', 2, 64)
-		if seen[key] {
-			return fmt.Errorf("config: space %q: duplicate clock frequency %sGHz (names would collide)", s.Name, key)
-		}
-		seen[key] = true
 	}
+	if err := s.validateNames(); err != nil {
+		return err
+	}
+	var c Config
 	d := s.dims()
 	for ax := 0; ax < NumSpaceAxes; ax++ {
 		for vi := 0; vi < d[ax]; vi++ {
 			var coords [NumSpaceAxes]int
 			coords[ax] = vi
-			if err := s.at(coords).Validate(); err != nil {
-				return fmt.Errorf("config: space %q axis %d value %d: %w", s.Name, ax, vi, err)
+			s.fill(coords, &c)
+			if c.Validate() != nil {
+				// Name the probe only once it fails: the name is its
+				// one allocation.
+				c.Name = s.name(coords, &c)
+				return fmt.Errorf("config: space %q axis %d value %d: %w", s.Name, ax, vi, c.Validate())
 			}
 		}
 	}
 	return nil
+}
+
+// namePiece is what one axis value prints into the generated names: the
+// number of a width, ROB, L2 (KB) or L3 (MB) piece, the prefetcher suffix
+// as 0 or 1, or a clock's two-decimal frequency.
+type namePiece struct {
+	axis int
+	n    int64
+	freq string
+}
+
+// piece returns the name piece of value vi of axis ax (vi in range).
+func (s *Space) piece(ax, vi int) namePiece {
+	p := namePiece{axis: ax}
+	switch ax {
+	case 0:
+		p.n = int64(s.Widths[vi])
+	case 1:
+		p.n = int64(s.ROBs[vi])
+	case 2:
+		p.n = s.L2Bytes[vi] >> 10
+	case 3:
+		p.n = s.L3Bytes[vi] >> 20
+	case 4:
+		p.freq = s.freqName(vi, s.Clocks[vi].FrequencyGHz)
+	case 5:
+		if s.Prefetcher[vi] {
+			p.n = 1
+		}
+	}
+	return p
+}
+
+// validateNames rejects two values of one axis whose name pieces are equal:
+// every point they span would share its name with another point, silently
+// conflating everything keyed by config name (CompareFronts, the fidelity
+// recorder). Clock pieces come from the space's frequency-name table, which
+// every later At reuses.
+func (s *Space) validateNames() error {
+	lens := [NumSpaceAxes]int{len(s.Widths), len(s.ROBs), len(s.L2Bytes), len(s.L3Bytes), len(s.Clocks), len(s.Prefetcher)}
+	seen := make(map[namePiece]int, lens[0]+lens[1]+lens[2]+lens[3]+lens[4]+lens[5])
+	for ax, n := range lens {
+		for vi := 0; vi < n; vi++ {
+			p := s.piece(ax, vi)
+			if first, ok := seen[p]; ok {
+				return fmt.Errorf("config: space %q: %s %v and %v collide in the generated names",
+					s.Name, axisNames[ax], s.value(ax, first), s.value(ax, vi))
+			}
+			seen[p] = vi
+		}
+	}
+	return nil
+}
+
+// axisNames name the axes in enumeration order, for error messages.
+var axisNames = [NumSpaceAxes]string{"width", "ROB size", "L2 bytes", "L3 bytes", "clock frequency GHz", "prefetcher"}
+
+// value returns value vi of axis ax, for error messages.
+func (s *Space) value(ax, vi int) any {
+	switch ax {
+	case 0:
+		return s.Widths[vi]
+	case 1:
+		return s.ROBs[vi]
+	case 2:
+		return s.L2Bytes[vi]
+	case 3:
+		return s.L3Bytes[vi]
+	case 4:
+		return s.Clocks[vi].FrequencyGHz
+	}
+	return s.Prefetcher[vi]
 }
 
 // TableSpace is the 3^5 = 243-point space of Table 6.3 as a parametric

@@ -233,8 +233,13 @@ func (e *Engine) SubmitSearch(ctx context.Context, req *api.SearchRequest) (*api
 		return nil, fmt.Errorf("%w: unbudgeted search over %d points (cap %d); set a budget",
 			ErrBadRequest, space.Size(), maxSearchEvaluations)
 	}
-	if err := e.profileExists(req.Workload); err != nil {
-		return nil, err
+	// A workload whose predictor for these options has compiled is
+	// admitted from the cache, as Evaluate admits it, without asking the
+	// store; only a cache miss checks that the profile exists.
+	if !e.compiled(req.Workload, req.Options) {
+		if err := e.profileExists(req.Workload); err != nil {
+			return nil, err
+		}
 	}
 	// Atomic admission: claim the slot first, release it if that pushed
 	// past the cap — concurrent submits cannot overshoot. (Gauge.Add is a

@@ -198,7 +198,10 @@ func (r *Result) CPI() float64 {
 }
 
 // TimeSeconds returns predicted execution time at the configuration's clock.
-func (r *Result) TimeSeconds() float64 { return r.Cycles / (r.FrequencyGHz * 1e9) }
+func (r *Result) TimeSeconds() float64 { return timeSeconds(r.Cycles, r.FrequencyGHz) }
+
+// timeSeconds is the time cycles take at a clock of freqGHz.
+func timeSeconds(cycles, freqGHz float64) float64 { return cycles / (freqGHz * 1e9) }
 
 // Watts returns total predicted power.
 func (r *Result) Watts() float64 { return r.Power.Total() }

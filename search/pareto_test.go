@@ -66,14 +66,14 @@ func TestParetoFrontMatchesReference(t *testing.T) {
 				Feasible:    rng.Intn(4) != 0,
 			}
 		}
-		whole := &Runner{evals: evals}
+		whole := &Runner{jobBuffers: &jobBuffers{evals: evals}}
 		whole.fold()
 		if got, want := whole.frontEvals(), referenceFront(evals); !slices.Equal(got, want) {
 			t.Fatalf("trial %d: front\n%+v\nwant\n%+v", trial, got, want)
 		}
 
 		chunks := rand.New(rand.NewSource(int64(trial)))
-		r := &Runner{}
+		r := &Runner{jobBuffers: new(jobBuffers)}
 		var published, copies [][]Eval
 		prev := []Eval{}
 		for hi := 0; hi < n; {

@@ -86,10 +86,13 @@ type Metrics struct {
 // substitute synthetic ones. Results must be deterministic and positional:
 // out[i] corresponds to configs[i].
 //
-// Reuse contract: an Evaluator may reuse its returned slice — the metrics
-// are valid only until the next call, and callers that retain them (the
-// Runner's memo does) must copy first. An Evaluator is driven serially by
-// its Runner and need not be safe for concurrent calls.
+// Reuse contract: the configs are the Runner's scratch — each generation is
+// filled in place into a slab the Runner reuses — so they are valid only
+// until the call returns, and an Evaluator must not keep them or anything
+// pointing into them. An Evaluator may in turn reuse its returned slice —
+// the metrics are valid only until the next call, and callers that retain
+// them (the Runner's memo does) must copy first. An Evaluator is driven
+// serially by its Runner and need not be safe for concurrent calls.
 type Evaluator func(ctx context.Context, configs []*arch.Config) ([]Metrics, error)
 
 // Constraints restricts the feasible region (Table 7.1's power-capped
@@ -270,9 +273,10 @@ type Strategy interface {
 	Search(ctx context.Context, r *Runner) error
 }
 
-// Runner is the evaluation driver strategies program against: it
-// materializes requested indices from the space, evaluates each generation
-// as one batch, memoizes every point, and records the convergence trace.
+// Runner is the evaluation driver strategies program against: it fills
+// each generation's requested indices from the space into a reused config
+// slab, evaluates the generation as one batch, memoizes every point, and
+// records the convergence trace.
 type Runner struct {
 	space *arch.Space
 	eval  Evaluator
@@ -286,22 +290,67 @@ type Runner struct {
 	// entries store position+1 so the zero value means "unseen".
 	seenSlab []int32
 	seen     map[int]int32
-	evals    []Eval
 	best     int // position of incumbent in evals, -1 until feasible
 	gens     int
 	trace    []TraceStep
 
-	cfgScratch []*arch.Config
-	idxScratch []int
-	// outScratch backs Evaluate's returned slice, reused across
-	// generations (see Evaluate's reuse contract).
-	outScratch []Eval
+	// jobBuffers holds the eval log and the generation scratch, taken from
+	// a pool for the job and returned by release.
+	*jobBuffers
 
 	// front is the Pareto staircase over evals[:folded]; a member's
 	// position is its memo position. It is extended after every generation
 	// while Options.OnUpdate is set, and once more for the report.
 	front  dse.Staircase
 	folded int
+}
+
+// jobBuffers are a runner's per-job buffers. Nothing a caller keeps aliases
+// them: Report and Update carry fresh fronts and Evals by value, and the
+// trace is the job's own.
+type jobBuffers struct {
+	// evals is the eval log, every unique point in evaluation order;
+	// evalsHigh is the longest it has been this job (a budget refusal
+	// truncates it), so release knows the prefix to clear.
+	evals     []Eval
+	evalsHigh int
+	// slab holds one generation's configurations, filled in place;
+	// cfgs[k] points at slab[k] for every k < cap(slab). len(slab) is the
+	// largest generation this job has filled.
+	slab []arch.Config
+	cfgs []*arch.Config
+	idx  []int
+	// out backs Evaluate's returned slice (see Evaluate's reuse contract);
+	// len(out) is the largest generation it has returned this job.
+	out []Eval
+}
+
+// jobBufferPool recycles jobBuffers across runs, each returned with every
+// entry its run wrote cleared.
+var jobBufferPool = sync.Pool{New: func() any { return new(jobBuffers) }}
+
+// maxPooledEvals and maxPooledGen bound the eval log and the
+// generation-sized buffers (slab, cfgs, idx, out) a run may return to the
+// pool: one huge search must not pin its buffers for the process lifetime.
+const (
+	maxPooledEvals = 1 << 16
+	maxPooledGen   = 1 << 12
+)
+
+// configs returns n configuration slots of the slab, growing it when the
+// generation is larger than any before.
+func (b *jobBuffers) configs(n int) []*arch.Config {
+	if n > cap(b.slab) {
+		b.slab = make([]arch.Config, n)
+		b.cfgs = make([]*arch.Config, n)
+		for k := range b.slab {
+			b.cfgs[k] = &b.slab[k]
+		}
+	}
+	if n > len(b.slab) {
+		b.slab = b.slab[:n]
+	}
+	return b.cfgs[:n]
 }
 
 // seenSlabMax bounds the memo slab at 16 MiB of int32; spaces larger than
@@ -324,37 +373,54 @@ func getSeenSlab(n int) []int32 {
 	return make([]int32, n, 1<<class)
 }
 
-// release clears the entries the run recorded — every one sits at an
+// release clears the memo entries the run recorded — every one sits at an
 // evals position, since budget refusals roll their reservations back — and
-// returns the slab to its pool. The runner must not be used afterwards.
+// every buffer entry it wrote, then returns the memo slab and the job
+// buffers to their pools. The runner must not be used afterwards.
 func (r *Runner) release() {
-	if r.seenSlab == nil {
-		return
+	if r.seenSlab != nil {
+		for i := range r.evals {
+			r.seenSlab[r.evals[i].Index] = 0
+		}
+		slab := r.seenSlab[:cap(r.seenSlab)]
+		r.seenSlab = nil
+		seenSlabs[bits.Len(uint(len(slab)-1))].Put(&slab)
 	}
-	for i := range r.evals {
-		r.seenSlab[r.evals[i].Index] = 0
+	b := r.jobBuffers
+	r.jobBuffers = nil
+	if cap(b.evals) > maxPooledEvals {
+		b.evals = nil
+	} else {
+		clear(b.evals[:b.evalsHigh])
+		b.evals = b.evals[:0]
 	}
-	slab := r.seenSlab[:cap(r.seenSlab)]
-	r.seenSlab = nil
-	seenSlabs[bits.Len(uint(len(slab)-1))].Put(&slab)
+	if max(cap(b.slab), cap(b.idx), cap(b.out)) > maxPooledGen {
+		*b = jobBuffers{evals: b.evals}
+	} else {
+		clear(b.slab)
+		clear(b.out)
+		b.slab, b.idx, b.out = b.slab[:0], b.idx[:0], b.out[:0]
+	}
+	b.evalsHigh = 0
+	jobBufferPool.Put(b)
 }
 
 func newRunner(space *arch.Space, ev Evaluator, opts Options) *Runner {
-	hint := opts.Budget
-	if hint <= 0 || hint > 1<<20 {
-		hint = 1 << 12
-	}
 	r := &Runner{
-		space: space,
-		eval:  ev,
-		opts:  opts,
-		rng:   rand.New(rand.NewSource(opts.Seed)),
-		evals: make([]Eval, 0, hint),
-		best:  -1,
+		space:      space,
+		eval:       ev,
+		opts:       opts,
+		rng:        rand.New(rand.NewSource(opts.Seed)),
+		best:       -1,
+		jobBuffers: jobBufferPool.Get().(*jobBuffers),
 	}
 	if n := space.Size(); n <= seenSlabMax {
 		r.seenSlab = getSeenSlab(n)
 	} else {
+		hint := opts.Budget
+		if hint <= 0 || hint > 1<<20 {
+			hint = 1 << 12
+		}
 		r.seen = make(map[int]int32, hint)
 	}
 	return r
@@ -439,7 +505,7 @@ func (r *Runner) Best() (Eval, bool) {
 //
 //mipp:hotpath
 func (r *Runner) Evaluate(ctx context.Context, indices []int) ([]Eval, error) {
-	fresh := r.idxScratch[:0]
+	fresh := r.idx[:0]
 	for _, idx := range indices {
 		if _, ok := r.lookup(idx); ok {
 			continue
@@ -450,7 +516,8 @@ func (r *Runner) Evaluate(ctx context.Context, indices []int) ([]Eval, error) {
 		r.evals = append(r.evals, Eval{Index: idx})
 		fresh = append(fresh, idx)
 	}
-	r.idxScratch = fresh
+	r.idx = fresh
+	r.evalsHigh = max(r.evalsHigh, len(r.evals))
 	// Evaluate the generation in enumeration order regardless of how the
 	// strategy drew it: ascending indices vary the space's inner axes
 	// fastest, so consecutive configs share their back-end and geometry and
@@ -472,11 +539,10 @@ func (r *Runner) Evaluate(ctx context.Context, indices []int) ([]Eval, error) {
 	}
 
 	if len(fresh) > 0 {
-		cfgs := r.cfgScratch[:0]
-		for _, idx := range fresh {
-			cfgs = append(cfgs, r.space.At(idx))
+		cfgs := r.configs(len(fresh))
+		for k, idx := range fresh {
+			r.space.AtInto(idx, cfgs[k])
 		}
-		r.cfgScratch = cfgs
 		metrics, err := r.eval(ctx, cfgs)
 		if err != nil {
 			return nil, err
@@ -517,10 +583,11 @@ func (r *Runner) Evaluate(ctx context.Context, indices []int) ([]Eval, error) {
 		r.opts.OnUpdate(u)
 	}
 
-	if cap(r.outScratch) < len(indices) {
-		r.outScratch = make([]Eval, len(indices))
+	if len(indices) > cap(r.out) {
+		r.out = make([]Eval, len(indices))
 	}
-	out := r.outScratch[:len(indices)]
+	r.out = r.out[:max(len(r.out), len(indices))]
+	out := r.out[:len(indices)]
 	for i, idx := range indices {
 		p, _ := r.lookup(idx)
 		out[i] = r.evals[p]

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"errors"
 	"runtime"
+	"sync"
 	"testing"
 
 	"mipp/arch"
@@ -134,11 +135,76 @@ func TestReleasedSlabIsClean(t *testing.T) {
 			t.Fatalf("%s: run did not fail", tc.name)
 		}
 		slab := r.seenSlab[:cap(r.seenSlab)]
+		b := r.jobBuffers
 		r.release()
 		for i, v := range slab {
 			if v != 0 {
 				t.Fatalf("%s: released slab holds %d at index %d", tc.name, v, i)
 			}
 		}
+		for i, e := range b.evals[:cap(b.evals)] {
+			if e != (Eval{}) {
+				t.Fatalf("%s: released eval log holds %+v at %d", tc.name, e, i)
+			}
+		}
+		for i, e := range b.out[:cap(b.out)] {
+			if e != (Eval{}) {
+				t.Fatalf("%s: released out scratch holds %+v at %d", tc.name, e, i)
+			}
+		}
+		for i := range b.slab[:cap(b.slab)] {
+			if c := &b.slab[:cap(b.slab)][i]; c.Name != "" || c.Ports != nil {
+				t.Fatalf("%s: released config slab holds %q at %d", tc.name, c.Name, i)
+			}
+		}
+	}
+}
+
+// TestPooledBuffersDoNotLeak keeps one run's report and streamed updates
+// with a deep copy of each, runs more searches on the pooled buffers after
+// it, sequentially and concurrently, and checks nothing kept has changed.
+func TestPooledBuffersDoNotLeak(t *testing.T) {
+	runs := slabRuns()
+	keep := runs[len(runs)-1] // a genetic run on the larger space
+	var updates []Update
+	opts := keep.opts
+	opts.OnUpdate = func(u Update) { updates = append(updates, u) }
+	rep, err := Run(context.Background(), syntheticEval, keep.space, keep.st, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(struct {
+		Report  *Report
+		Updates []Update
+	}{rep, updates})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range runs {
+		reportJSON(t, r.space, r.st, r.opts)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, r := range runs[w:] {
+				if _, err := Run(context.Background(), syntheticEval, r.space, r.st, r.opts); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	got, err := json.Marshal(struct {
+		Report  *Report
+		Updates []Update
+	}{rep, updates})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("a kept report or update changed while later searches ran:\n got  %.300s\n want %.300s", got, want)
 	}
 }

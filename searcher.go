@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mipp/api"
+	"mipp/internal/power"
 	"mipp/search"
 )
 
@@ -16,19 +17,22 @@ import (
 // out in contiguous chunks over the shared worker pool — the same machinery
 // Sweep and the Engine run on. workers caps the pool (0 = GOMAXPROCS).
 //
-// The evaluator owns one BatchResult and one metrics slice reused across
-// generations, so steady-state search evaluation allocates nothing per
-// generation; per the search.Evaluator contract the returned slice is valid
-// only until the next call, and the evaluator must not be called
-// concurrently (the Runner drives it serially).
+// Each generation borrows a BatchResult from the pool the Engine and Sweep
+// share and returns it before the call returns, so a job grows no batch
+// rows of its own; the evaluator keeps only its metrics slice. Per the
+// search.Evaluator contract the returned slice is valid only until the next
+// call, and the evaluator must not be called concurrently (the Runner
+// drives it serially).
 func NewSearchEvaluator(pd *Predictor, workers int) search.Evaluator {
-	br := &BatchResult{}
-	pds, brs := []*Predictor{pd}, []*BatchResult{br}
+	pds, brs := []*Predictor{pd}, make([]*BatchResult, 1)
 	var out []search.Metrics
 	return func(ctx context.Context, configs []*Config) ([]search.Metrics, error) {
 		if pd == nil {
 			return nil, fmt.Errorf("mipp: search evaluator: nil predictor")
 		}
+		br := getBatchResult()
+		defer putBatchResult(br)
+		brs[0] = br
 		sweepInto(ctx, pds, configs, workers, brs)
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -41,16 +45,25 @@ func NewSearchEvaluator(pd *Predictor, workers int) search.Evaluator {
 			if !br.Ok(i) {
 				return nil, fmt.Errorf("mipp: search evaluator: missing result for config %d", i)
 			}
-			r := br.fill(i)
-			out[i] = search.Metrics{
-				TimeSeconds:  r.TimeSeconds(),
-				Watts:        r.Watts(),
-				EnergyJoules: r.EnergyJoules(),
-				EDP:          r.EDP(),
-				ED2P:         r.ED2P(),
-			}
+			out[i] = br.searchMetrics(i)
 		}
 		return out, nil
+	}
+}
+
+// searchMetrics derives slot i's search metrics from the kernel row, the
+// resolved clock and the power stack, by the expressions of Result's
+// TimeSeconds, Watts, EnergyJoules, EDP and ED2P, bit for bit, without
+// lowering the row into a façade Result.
+func (br *BatchResult) searchMetrics(i int) search.Metrics {
+	p := &br.power[i]
+	t := timeSeconds(br.core.Row(i).Cycles, br.resolved[i].FrequencyGHz)
+	return search.Metrics{
+		TimeSeconds:  t,
+		Watts:        p.Total(),
+		EnergyJoules: power.Energy(*p, t),
+		EDP:          power.EDP(*p, t),
+		ED2P:         power.ED2P(*p, t),
 	}
 }
 
