@@ -48,12 +48,11 @@ func main() {
 	)
 	flag.Parse()
 
-	stream, err := mipp.GenerateWorkload(*name, *n, 0)
+	t0 := time.Now()
+	profile, err := mipp.NewProfiler().Profile(*name, *n)
 	if err != nil {
 		log.Fatal(err)
 	}
-	t0 := time.Now()
-	profile := mipp.NewProfiler().ProfileStream(stream)
 	profTime := time.Since(t0)
 
 	// The engine holds the profile and compiles the predictor on first
@@ -112,7 +111,7 @@ func main() {
 	if !*batch {
 		mode = "per-config"
 	}
-	fmt.Printf("%s: profiled %d uops in %v; compiled predictor in %v; swept %d configs in %v (%s, %.1f configs/s)\n",
+	fmt.Printf("%s: generated and profiled %d uops in %v; compiled predictor in %v; swept %d configs in %v (%s, %.1f configs/s)\n",
 		*name, profile.TotalUops(), profTime.Round(time.Millisecond),
 		compileTime.Round(10*time.Microsecond), len(configs),
 		modelTime.Round(time.Millisecond), mode, float64(len(configs))/modelTime.Seconds())
@@ -141,6 +140,11 @@ func main() {
 
 	if !*validate {
 		return
+	}
+	// The simulator replays the stream the profile was collected from.
+	stream, err := profile.Stream()
+	if err != nil {
+		log.Fatal(err)
 	}
 	t0 = time.Now()
 	var actual []mipp.Point

@@ -62,8 +62,7 @@ func main() {
 
 		fidBudget = flag.Int("fidelity-budget", 0, "ground-truth simulations the fidelity sampler may run (0 = sampling off, -1 = unlimited); report on GET /v1/fidelity")
 		fidEvery  = flag.Int("fidelity-every", 16, "sample roughly 1 in this many served configs for ground-truth comparison")
-		fidUops   = flag.Int("fidelity-uops", 40_000, "regenerated stream length per workload for ground-truth simulations")
-		fidSeed   = flag.Int64("fidelity-seed", 0, "seed for the deterministic fidelity sample and its regenerated streams")
+		fidSeed   = flag.Int64("fidelity-seed", 0, "seed for the deterministic fidelity sample (ground truth replays each profile's own stream)")
 		fidRate   = flag.Float64("fidelity-max-per-second", 2, "rate limit on ground-truth simulations (0 = unlimited)")
 	)
 	flag.Parse()
@@ -77,10 +76,9 @@ func main() {
 			Seed:         *fidSeed,
 			SampleEvery:  *fidEvery,
 			Budget:       *fidBudget,
-			SimUops:      *fidUops,
 			MaxPerSecond: *fidRate,
 		}))
-		log.Printf("fidelity sampling on: budget=%d every=%d uops=%d seed=%d", *fidBudget, *fidEvery, *fidUops, *fidSeed)
+		log.Printf("fidelity sampling on: budget=%d every=%d seed=%d", *fidBudget, *fidEvery, *fidSeed)
 	}
 	switch {
 	case *storeDir != "" && *remoteURL != "":

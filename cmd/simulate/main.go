@@ -8,6 +8,7 @@
 //	simulate -workload gcc -n 1000000
 //	simulate -workload libquantum -config reference+pf
 //	simulate -store ./profile-store -name mcf    # profile from a mippd store:
+//	                                             # replays the profiled stream and
 //	                                             # also prints the analytical
 //	                                             # model's per-component residuals
 package main
@@ -28,7 +29,7 @@ func main() {
 	log.SetPrefix("simulate: ")
 	var (
 		name     = flag.String("workload", "", "benchmark name")
-		n        = flag.Int("n", 1_000_000, "trace length in micro-ops")
+		n        = flag.Int("n", 1_000_000, "trace length in micro-ops (not with -store, which replays the profiled length)")
 		cfgName  = flag.String("config", "reference", "reference | reference+pf | lowpower")
 		storeDir = flag.String("store", "", "content-addressed profile store to read from (see mippd -store)")
 		regName  = flag.String("name", "", "store registry name to load with -store (default: -workload)")
@@ -40,12 +41,17 @@ func main() {
 		log.Fatalf("unknown config %q", *cfgName)
 	}
 
-	// With -store, the profile supplies the workload identity (so the
-	// stream regenerates from the same generator the profile measured) and
-	// the analytical side of the residual table.
+	// With -store, the profile supplies the stream (Profile.Stream replays
+	// the very stream it was collected from) and the analytical side of the
+	// residual table.
 	var profile *mipp.Profile
 	workload := *name
 	if *storeDir != "" {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "n" {
+				log.Fatal("-n is not supported with -store: the stored profile's own stream is replayed")
+			}
+		})
 		lookup := *regName
 		if lookup == "" {
 			lookup = *name
@@ -73,7 +79,13 @@ func main() {
 		log.Fatal("missing -workload")
 	}
 
-	stream, err := mipp.GenerateWorkload(workload, *n, 0)
+	var stream *mipp.Stream
+	var err error
+	if profile != nil {
+		stream, err = profile.Stream()
+	} else {
+		stream, err = mipp.GenerateWorkload(workload, *n, 0)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}

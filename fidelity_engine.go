@@ -17,9 +17,10 @@ import (
 // re-evaluated against the cycle-level reference simulator, and the signed
 // residuals land in a fidelity.Recorder.
 type FidelityOptions struct {
-	// Seed drives the sampling decision and (for the default ground truth)
-	// the regenerated workload streams. The same seed over the same served
-	// set selects the same configs, whatever the concurrency.
+	// Seed drives the sampling decision only: the default ground truth
+	// replays each profile's own stream (Profile.Stream). The same seed over
+	// the same served set selects the same configs, whatever the
+	// concurrency.
 	Seed int64
 	// SampleEvery selects roughly one served (workload, config) pair in
 	// every SampleEvery by deterministic hash (<= 1 samples everything;
@@ -30,9 +31,6 @@ type FidelityOptions struct {
 	// ~10^5 times an analytical evaluation — the cap is what makes
 	// sampling safe to leave on.
 	Budget int
-	// SimUops is the regenerated stream length per workload for the
-	// default simulator ground truth (0 = default).
-	SimUops int
 	// MaxPerSecond rate-limits ground-truth runs (0 = unlimited): the
 	// worker sleeps between simulations so sampling never competes with
 	// serving for more than its share.
@@ -58,9 +56,6 @@ func (o *FidelityOptions) withDefaults() FidelityOptions {
 	}
 	if d.Budget == 0 {
 		d.Budget = 256
-	}
-	if d.SimUops <= 0 {
-		d.SimUops = defaultSimUops
 	}
 	if d.WorstN == 0 {
 		d.WorstN = 5
@@ -138,7 +133,7 @@ func newFidelitySampler(e *Engine, opts FidelityOptions) *fidelitySampler {
 		simSeconds: obs.NewHistogram(obs.DefBuckets...),
 	}
 	if s.gt == nil {
-		s.gt = NewSimGroundTruth(e, opts.SimUops, opts.Seed)
+		s.gt = NewSimGroundTruth(e)
 	}
 	if opts.Budget > 0 {
 		s.budget.Store(int64(opts.Budget))

@@ -242,3 +242,57 @@ func TestFidelitySearchEscalation(t *testing.T) {
 		t.Fatalf("escalated samples = %d, want 1..3", rep.Samples)
 	}
 }
+
+// TestFidelityDefaultGroundTruth: with no GroundTruth override the sampler
+// simulates the very stream the profile was collected from, and a profile
+// that records no source lands as a failure, never as a sample measured on
+// some other stream.
+func TestFidelityDefaultGroundTruth(t *testing.T) {
+	e := mipp.NewEngine(mipp.WithFidelitySampling(mipp.FidelityOptions{
+		SampleEvery: 1,
+		Budget:      4,
+		WorstN:      4,
+	}))
+	defer e.Close()
+	ctx := context.Background()
+	if _, err := e.RegisterProfile(ctx, &api.RegisterProfileRequest{
+		SchemaVersion: api.SchemaVersion,
+		Workload:      "mcf",
+		Uops:          20000,
+		Seed:          5,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	stream, err := mipp.GenerateWorkload("mcf", 20000, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Register("mcf-stream", mipp.NewProfiler().ProfileStream(stream)); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []string{"mcf", "mcf-stream"} {
+		if _, err := e.Predict(ctx, &api.PredictRequest{
+			SchemaVersion: api.SchemaVersion,
+			Workload:      w,
+			Config:        api.ConfigSpec{Name: "reference"},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := e.FidelityReport(ctx, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Samples != 1 || rep.Failures != 1 {
+		t.Fatalf("report has %d samples and %d failures, want 1 sample (mcf) and 1 failure (mcf-stream)", rep.Samples, rep.Failures)
+	}
+	cfg := arch.Reference()
+	sim, err := mipp.Simulate(cfg, stream, mipp.SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mipp.SimMeasurement(cfg, sim)
+	if got := rep.Worst[0]; got.Workload != "mcf" || got.Sim != want {
+		t.Fatalf("sample %q measured %+v\nwant the profiled stream's %+v", got.Workload, got.Sim, want)
+	}
+}

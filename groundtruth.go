@@ -3,7 +3,6 @@ package mipp
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"mipp/fidelity"
 	"mipp/internal/power"
@@ -65,41 +64,19 @@ func powerMeasurement(p PowerStack) fidelity.PowerStack {
 
 // SimGroundTruth is the fidelity.GroundTruth backed by the cycle-level
 // reference simulator: it resolves the workload's profile from the engine,
-// regenerates the profiled instruction stream from the profile's built-in
-// generator name, and runs SimulateContext on the requested configuration.
-//
-// Streams are cached per generator name — regeneration is deterministic
-// (same name, uop count and seed), so one synthesis serves every
-// configuration sampled for that workload.
+// rebuilds the stream that profile was collected from (Profile.Stream), and
+// runs SimulateContext on the requested configuration. A profile that
+// cannot be replayed fails with ErrNotReplayable rather than being measured
+// on some other stream.
 type SimGroundTruth struct {
 	resolve func(ctx context.Context, name string) (*Profile, error)
-	uops    int
-	seed    int64
-
-	mu      sync.Mutex
-	streams map[string]*Stream
 }
 
 // NewSimGroundTruth builds a simulator ground truth over the engine's
-// registered profiles. uops is the regenerated stream length per workload
-// (<= 0 selects a default sized for sub-second reference runs); seed feeds
-// the workload generator, making every ground-truth stream reproducible.
-func NewSimGroundTruth(e *Engine, uops int, seed int64) *SimGroundTruth {
-	if uops <= 0 {
-		uops = defaultSimUops
-	}
-	return &SimGroundTruth{
-		resolve: e.resolveProfileCtx,
-		uops:    uops,
-		seed:    seed,
-		streams: make(map[string]*Stream),
-	}
+// registered profiles.
+func NewSimGroundTruth(e *Engine) *SimGroundTruth {
+	return &SimGroundTruth{resolve: e.resolveProfileCtx}
 }
-
-// defaultSimUops keeps one reference simulation well under a second on the
-// built-in generators while leaving enough committed instructions for
-// stable per-component stacks.
-const defaultSimUops = 40000
 
 // GroundTruth implements fidelity.GroundTruth.
 func (g *SimGroundTruth) GroundTruth(ctx context.Context, workload string, cfg *Config) (fidelity.Measurement, error) {
@@ -107,18 +84,9 @@ func (g *SimGroundTruth) GroundTruth(ctx context.Context, workload string, cfg *
 	if err != nil {
 		return fidelity.Measurement{}, err
 	}
-	gen := p.Workload()
-	g.mu.Lock()
-	stream := g.streams[gen]
-	g.mu.Unlock()
-	if stream == nil {
-		stream, err = GenerateWorkload(gen, g.uops, g.seed)
-		if err != nil {
-			return fidelity.Measurement{}, fmt.Errorf("mipp: fidelity ground truth for %q: %w", workload, err)
-		}
-		g.mu.Lock()
-		g.streams[gen] = stream
-		g.mu.Unlock()
+	stream, err := p.Stream()
+	if err != nil {
+		return fidelity.Measurement{}, fmt.Errorf("mipp: fidelity ground truth for %q: %w", workload, err)
 	}
 	res, err := SimulateContext(ctx, cfg, stream, SimOptions{})
 	if err != nil {

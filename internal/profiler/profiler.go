@@ -172,12 +172,24 @@ func (m *Micro) Mix() [trace.NumClasses]float64 {
 	return out
 }
 
+// Source names the built-in generator call that produced a profiled
+// stream, so the stream can be rebuilt for the reference simulator.
+type Source struct {
+	Generator string `json:"generator"`
+	Uops      int    `json:"uops"`
+	Seed      int64  `json:"seed"` // 0 = the generator's default seed
+}
+
 // Profile is the complete micro-architecture independent application profile.
 type Profile struct {
 	Workload    string  `json:"workload"`
 	TotalUops   int64   `json:"total_uops"`
 	TotalInstrs int64   `json:"total_instrs"`
 	Opts        Options `json:"options"`
+
+	// Source is set by callers that generated the stream themselves; Run
+	// leaves it nil, since it sees only the stream.
+	Source *Source `json:"source,omitempty"`
 
 	// Micros are the sampled micro-trace profiles.
 	Micros []*Micro `json:"micros"`

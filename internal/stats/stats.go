@@ -23,20 +23,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
 // Min returns the minimum of xs; it panics on an empty slice.
 func Min(xs []float64) float64 {
 	m := xs[0]
@@ -71,21 +57,9 @@ func AbsErr(predicted, actual float64) float64 {
 	return math.Abs(predicted-actual) / math.Abs(actual)
 }
 
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between closest ranks. It panics on an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return percentileSorted(s, p)
-}
-
+// percentileSorted returns the p-th percentile, 0 < p < 100, of sorted s by
+// linear interpolation between closest ranks.
 func percentileSorted(s []float64, p float64) float64 {
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
 	rank := p / 100 * float64(len(s)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))

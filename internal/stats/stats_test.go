@@ -11,11 +11,8 @@ func TestMeanStdDev(t *testing.T) {
 	if m := Mean(xs); m != 2.5 {
 		t.Errorf("Mean = %v, want 2.5", m)
 	}
-	if s := StdDev(xs); math.Abs(s-math.Sqrt(1.25)) > 1e-12 {
-		t.Errorf("StdDev = %v", s)
-	}
-	if Mean(nil) != 0 || StdDev(nil) != 0 {
-		t.Error("empty-slice mean/stddev should be 0")
+	if Mean(nil) != 0 {
+		t.Error("empty-slice mean should be 0")
 	}
 }
 
@@ -36,15 +33,6 @@ func TestAbsErr(t *testing.T) {
 
 func TestPercentileAndBox(t *testing.T) {
 	xs := []float64{5, 1, 3, 2, 4}
-	if p := Percentile(xs, 50); p != 3 {
-		t.Errorf("median = %v", p)
-	}
-	if p := Percentile(xs, 0); p != 1 {
-		t.Errorf("p0 = %v", p)
-	}
-	if p := Percentile(xs, 100); p != 5 {
-		t.Errorf("p100 = %v", p)
-	}
 	b := Box(xs)
 	if b.Lo != 1 || b.Hi != 5 || b.Median != 3 || b.N != 5 {
 		t.Errorf("box = %+v", b)

@@ -11,8 +11,9 @@
 //
 // For each workload the tool profiles the generated trace once, then runs
 // both the predictor and the simulator on every design-space configuration,
-// feeding the (model, simulator) pairs through the same fidelity.Recorder
-// the serving tier aggregates — the artifact is the fidelity.Report itself
+// the simulator on the profile's own stream (Profile.Stream), feeding the
+// (model, simulator) pairs through the same fidelity.Recorder the serving
+// tier aggregates — the artifact is the fidelity.Report itself
 // plus the run parameters. Everything is a pure function of (workloads,
 // uops, seed): no timestamps, no host identity, so the checked-in file
 // reproduces byte-identically on any machine.
@@ -58,7 +59,7 @@ func main() {
 		out       = flag.String("out", "", "output file (empty = stdout only)")
 		workloads = flag.String("workloads", "mcf,gcc", "comma-separated workloads to measure")
 		uops      = flag.Int("uops", 40_000, "trace length in micro-ops (profiler and simulator see the same stream)")
-		seed      = flag.Int64("seed", 0, "workload generation seed")
+		seed      = flag.Int64("seed", 0, "workload generation seed (0 = each workload's default)")
 		worstN    = flag.Int("worst", 10, "worst-offender configs to record in the report")
 		maxMAPE   = flag.Float64("max-mape", 0, "fail when overall CPI MAPE (percent) exceeds this (0 = no gate)")
 		maxWatts  = flag.Float64("max-watts-mape", 0, "fail when overall power MAPE (percent) exceeds this (0 = no gate)")
@@ -83,7 +84,7 @@ func main() {
 		if name == "" {
 			continue
 		}
-		p, err := mipp.NewProfiler().Profile(name, *uops)
+		p, err := mipp.NewProfiler(mipp.WithSeed(*seed)).Profile(name, *uops)
 		if err != nil {
 			fatal(err)
 		}
@@ -91,7 +92,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		stream, err := mipp.GenerateWorkload(name, *uops, *seed)
+		stream, err := p.Stream()
 		if err != nil {
 			fatal(err)
 		}

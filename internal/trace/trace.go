@@ -48,9 +48,6 @@ func (c Class) String() string {
 // IsMem reports whether the class accesses the data memory hierarchy.
 func (c Class) IsMem() bool { return c == Load || c == Store }
 
-// IsFP reports whether the class executes on the floating-point units.
-func (c Class) IsFP() bool { return c == FPAdd || c == FPMul || c == FPDiv }
-
 // Uop is one dynamic micro-operation.
 //
 // Register dependences are expressed positionally: SrcDist1/SrcDist2 give the

@@ -6,9 +6,6 @@ func TestClassPredicates(t *testing.T) {
 	if !Load.IsMem() || !Store.IsMem() || IntALU.IsMem() {
 		t.Error("IsMem wrong")
 	}
-	if !FPAdd.IsFP() || !FPDiv.IsFP() || IntMul.IsFP() {
-		t.Error("IsFP wrong")
-	}
 	if Load.String() != "Load" || Class(200).String() == "" {
 		t.Error("String wrong")
 	}

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"os"
 
+	"mipp/api"
 	"mipp/internal/profiler"
+	"mipp/internal/workload"
 )
 
 // ProfileSchemaVersion is the JSON schema version written by Profile.Save
@@ -23,6 +25,9 @@ var (
 	// ErrProfileVersion reports a well-formed envelope whose
 	// schema_version this build does not read.
 	ErrProfileVersion = errors.New("mipp: unsupported profile schema version")
+	// ErrNotReplayable reports a profile whose stream Profile.Stream
+	// cannot rebuild.
+	ErrNotReplayable = errors.New("mipp: profile stream not replayable")
 )
 
 // Profile is a serializable micro-architecture independent application
@@ -81,6 +86,33 @@ func (p *Profile) StoreFrac() float64 { return p.body().StoreFrac() }
 
 // BranchFrac returns the sampled fraction of uops that are branches.
 func (p *Profile) BranchFrac() float64 { return p.body().BranchFrac() }
+
+// Stream rebuilds the micro-op stream the profile was collected from, so the
+// reference simulator measures the very stream the model was profiled on.
+// Only Profiler.Profile records a stream's source. A profile without one, a
+// source that asks for a length outside (0, api.MaxProfileUops] or names no
+// built-in generator, and a source that does not regenerate the profiled
+// uop and instruction counts all fail with ErrNotReplayable.
+func (p *Profile) Stream() (*Stream, error) {
+	b := p.body()
+	src := b.Source
+	if src == nil {
+		return nil, fmt.Errorf("%w: profile %q records no source stream", ErrNotReplayable, b.Workload)
+	}
+	if src.Uops <= 0 || src.Uops > api.MaxProfileUops {
+		return nil, fmt.Errorf("%w: profile %q source asks for %d uops (want 1..%d)",
+			ErrNotReplayable, b.Workload, src.Uops, api.MaxProfileUops)
+	}
+	s, err := workload.Generate(src.Generator, src.Uops, src.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("%w: profile %q: %v", ErrNotReplayable, b.Workload, err)
+	}
+	if uops, instrs := int64(s.Len()), int64(s.Instructions()); uops != b.TotalUops || instrs != b.TotalInstrs {
+		return nil, fmt.Errorf("%w: profile %q source regenerates %d uops and %d instructions, profiled %d and %d",
+			ErrNotReplayable, b.Workload, uops, instrs, b.TotalUops, b.TotalInstrs)
+	}
+	return s, nil
+}
 
 // profileEnvelope is the versioned JSON wire format.
 type profileEnvelope struct {

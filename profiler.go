@@ -59,26 +59,6 @@ func WithMicroTrace(micro, window int) ProfilerOption {
 	}
 }
 
-// WithROBs sets the profiled ROB sizes for the dependence-chain and
-// cold-miss statistics (default: every multiple of 16 from 16 to 256). The
-// sizes may come in any order and repeat; profiling panics on a size below
-// 1.
-func WithROBs(robs ...int) ProfilerOption {
-	return func(p *Profiler) { p.opts.ROBs = robs }
-}
-
-// WithBursts sets the number of reuse-distance bursts the stream is split
-// into (§5.4.1, default 12).
-func WithBursts(n int) ProfilerOption {
-	return func(p *Profiler) { p.opts.Bursts = n }
-}
-
-// WithEntropyHistory sets the local-history length of the linear branch
-// entropy metric in bits (default 12).
-func WithEntropyHistory(bits uint) ProfilerOption {
-	return func(p *Profiler) { p.opts.EntropyHistory = bits }
-}
-
 // NewProfiler returns a Profiler with the given options applied over the
 // paper's defaults.
 func NewProfiler(opts ...ProfilerOption) *Profiler {
@@ -90,7 +70,8 @@ func NewProfiler(opts ...ProfilerOption) *Profiler {
 }
 
 // Profile synthesizes workload name at n micro-ops and profiles it in one
-// pass.
+// pass. The profile records that source, so Profile.Stream can rebuild the
+// stream for the reference simulator.
 func (pr *Profiler) Profile(name string, n int) (*Profile, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("mipp: profile %s: non-positive trace length %d", name, n)
@@ -99,10 +80,13 @@ func (pr *Profiler) Profile(name string, n int) (*Profile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mipp: profile: %w", err)
 	}
-	return pr.ProfileStream(stream), nil
+	p := pr.ProfileStream(stream)
+	p.raw.Source = &profiler.Source{Generator: name, Uops: n, Seed: pr.seed}
+	return p, nil
 }
 
-// ProfileStream profiles an already-synthesized micro-op stream.
+// ProfileStream profiles an already-synthesized micro-op stream. The
+// profile records no source, so Profile.Stream refuses it.
 func (pr *Profiler) ProfileStream(s *Stream) *Profile {
 	return &Profile{raw: profiler.Run(s, pr.opts)}
 }

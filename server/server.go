@@ -68,9 +68,10 @@ type Server struct {
 	// content-addressed replication; nil otherwise (the /v1/store
 	// endpoints then answer 404).
 	objects mipp.ObjectStore
-	// metrics is the registry /metrics serves; per-route HTTP instruments,
-	// the engine's instruments, and the error-sentinel counters register on
-	// it at construction.
+	// metrics is the registry /metrics serves, chained to obs.Default() so
+	// the kernel's process-wide counters are included; per-route HTTP
+	// instruments, the engine's instruments, and the error-sentinel
+	// counters register on it at construction.
 	metrics *obs.Registry
 	// errors counts error responses by sentinel class, pre-registered so
 	// every class exposes a zero-valued series from boot.
@@ -91,28 +92,18 @@ func WithMaxBodyBytes(n int64) Option {
 	return func(s *Server) { s.maxBody = n }
 }
 
-// WithMetricsRegistry substitutes the registry /metrics serves (the default
-// is a fresh registry chained to obs.Default(), so the kernel's process-wide
-// counters are included). Pass one registry to several servers only if their
-// instruments cannot collide.
-func WithMetricsRegistry(reg *obs.Registry) Option {
-	return func(s *Server) { s.metrics = reg }
-}
-
 // New wraps engine in the HTTP service surface.
 func New(engine *mipp.Engine, opts ...Option) *Server {
 	s := &Server{
 		engine:  engine,
 		maxBody: DefaultMaxBodyBytes,
 		started: time.Now(),
+		metrics: obs.NewRegistry(obs.WithBase(obs.Default())),
 	}
 	for _, o := range opts {
 		o(s)
 	}
 	s.objects, _ = engine.ProfileStore().(mipp.ObjectStore)
-	if s.metrics == nil {
-		s.metrics = obs.NewRegistry(obs.WithBase(obs.Default()))
-	}
 	s.engine.MetricsInto(s.metrics)
 	s.errors = make(map[string]*obs.Counter, len(errorSentinels))
 	for _, sentinel := range errorSentinels {
